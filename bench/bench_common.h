@@ -6,9 +6,9 @@
 // user groups per continent.
 //
 // Common flags (after the optional group-count positional):
-//   --threads N      worker threads for the sharded runtime (default:
-//                    hardware concurrency; results are byte-identical for
-//                    any N, including 1)
+//   --threads N      worker threads for the sharded runtime (default and
+//                    0: hardware concurrency; results are byte-identical
+//                    for any N, including 1)
 //   --json PATH      also emit headline metrics as machine-readable JSON
 //                    (metric name -> value) for cross-PR tracking
 //   --cache-dir DIR  persist/reuse the ingest artifact (per-group series)
@@ -19,12 +19,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/ingest_cache.h"
 #include "runtime/pipeline.h"
+#include "util/cli.h"
 #include "workload/generator.h"
 #include "workload/world.h"
 
@@ -77,28 +79,34 @@ struct RunConfig {
 };
 
 /// Parses the shared command line: an optional positional integer (user
-/// groups per continent) plus --threads/--json. Exits on unknown flags.
+/// groups per continent, >= 1) plus --threads (>= 0; 0 = hardware
+/// concurrency), --json and --cache-dir. Exits 2 with usage on an unknown
+/// flag or an invalid number.
 inline void parse_common_args(int argc, char** argv, RunConfig& rc,
                               int default_groups) {
   rc.world.groups_per_continent = default_groups;
   if (const char* env = std::getenv("FBEDGE_CACHE_DIR")) rc.cache.dir = env;
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [groups] [--threads N] [--json PATH] "
+                 "[--cache-dir DIR]\n",
+                 argv[0]);
+    std::exit(2);
+  };
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
     if (arg == "--threads") {
-      if (const char* v = next()) rc.runtime.threads = std::atoi(v);
+      rc.runtime.threads = cli::flag_value("--threads", next(), 0, kMaxInt, usage);
     } else if (arg == "--json") {
       if (const char* v = next()) rc.json_path = v;
     } else if (arg == "--cache-dir") {
       if (const char* v = next()) rc.cache.dir = v;
     } else if (!arg.empty() && arg[0] != '-') {
-      rc.world.groups_per_continent = std::atoi(arg.c_str());
+      rc.world.groups_per_continent = cli::flag_value("groups", argv[i], 1, kMaxInt, usage);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [groups] [--threads N] [--json PATH] "
-                   "[--cache-dir DIR]\n",
-                   argv[0]);
-      std::exit(2);
+      usage();
     }
   }
 }

@@ -57,9 +57,9 @@ void analyze_degradation_into(const GroupSeries& series, const ComparisonConfig&
 /// The per-window degradation comparison: `pref` (the preferred-route cell
 /// of one window) against the chosen baseline cells. Overwrites `out`; a
 /// null baseline leaves the corresponding Comparison kMissing. Shared by
-/// the retrospective analyzer above, the online DegradationMonitor, and the
-/// streaming verdict path (agg/window_verdict.h) — one implementation, so
-/// batch and stream verdicts cannot drift.
+/// the retrospective analyzer above and the online verdict path
+/// (agg/window_verdict.h) — one implementation, so batch and stream
+/// verdicts cannot drift.
 void evaluate_degradation_window(int window, const RouteWindowAgg& pref,
                                  const RouteWindowAgg* base_rtt,
                                  const RouteWindowAgg* base_hd,

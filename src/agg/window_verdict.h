@@ -1,12 +1,11 @@
 // The shared per-window §3.4 verdict step.
 //
 // Degradation and opportunity verdicts for one sealed (user group, window)
-// aggregation used to live twice: once in the batch analyzers
+// aggregation have one implementation each: the batch analyzers
 // (degradation.cpp / opportunity.cpp walking a finished GroupSeries) and
-// once, re-derived, in the online DegradationMonitor. This header factors
-// the per-window logic into single implementations — the batch analyzers,
-// the monitor, and the streaming pipeline (src/stream/) all call the same
-// functions, so batch/stream equivalence is structural, not coincidental.
+// the stream monitor (src/stream/), the one online verdict path, call the
+// same per-window functions, so batch/stream equivalence is structural, not
+// coincidental.
 //
 // RollingBaseline is the streaming counterpart of the retrospective
 // full-series baseline pick: the window at the configured quantile of the
@@ -77,7 +76,7 @@ class RollingBaseline {
 };
 
 /// Alert thresholds for flagging a verdict (defaults match the paper's
-/// headline 5 ms / 0.05 event definitions and MonitorConfig).
+/// headline 5 ms / 0.05 event definitions).
 struct VerdictPolicy {
   Duration degradation_rtt{0.005};
   double degradation_hd{0.05};
@@ -101,8 +100,10 @@ struct WindowVerdict {
 
 /// Evaluates one sealed window against `baseline` and its own alternates,
 /// then folds the preferred cell into the baseline history. This is THE
-/// shared verdict step: DegradationMonitor, the batch replay and the
-/// streaming window machine all converge here.
+/// shared verdict step: the batch replay and the streaming window machine
+/// both converge here. A window whose preferred cell is absent or empty
+/// carries no degradation signal and stays out of the history, so it
+/// cannot dilute the baseline pool.
 void evaluate_window_verdict(int window, const WindowAgg& agg,
                              RollingBaseline& baseline,
                              const ComparisonConfig& config, WindowVerdict& out);

@@ -8,6 +8,7 @@
 #include "agg/comparison.h"
 #include "agg/degradation.h"
 #include "agg/opportunity.h"
+#include "agg/window_verdict.h"
 #include "util/rng.h"
 
 namespace fbedge {
@@ -264,6 +265,133 @@ TEST(Opportunity, SingleRouteGroupsSkipped) {
   GroupSeries series;
   fill(series.windows[0].route(0), 100, 0.050, 0.9, 37);
   EXPECT_TRUE(analyze_opportunity(series, {}).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Online verdicts: RollingBaseline + evaluate_window_verdict, the step every
+// sealed stream window takes. An "alert" is a degradation comparison whose
+// CI lower bound clears the VerdictPolicy threshold.
+// ---------------------------------------------------------------------------
+
+RouteWindowAgg make_cell(Duration rtt, double hd, std::uint64_t seed, int n = 80) {
+  RouteWindowAgg agg;
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    agg.add_session(std::max(0.001, rtt + rng.normal(0, 0.002)),
+                    std::clamp(hd + rng.normal(0, 0.05), 0.0, 1.0), 1000);
+  }
+  return agg;
+}
+
+/// One group's online verdict loop: seals windows whose preferred route is
+/// `pref` and counts the alerts they raise.
+struct OnlineVerdicts {
+  explicit OnlineVerdicts(RollingBaseline::Config config = {}) : baseline(config) {}
+
+  void seal(int window, const RouteWindowAgg& pref) {
+    WindowAgg agg;
+    agg.routes.push_back(pref);
+    seal(window, agg);
+  }
+
+  void seal(int window, const WindowAgg& agg) {
+    evaluate_window_verdict(window, agg, baseline, ComparisonConfig{}, verdict);
+    rtt_alert = verdict.degr.rtt.exceeds(policy.degradation_rtt);
+    hd_alert = verdict.degr.hd.exceeds(policy.degradation_hd);
+    if (rtt_alert || hd_alert) ++alerts;
+  }
+
+  const RouteWindowAgg* baseline_rtt() const { return baseline.baseline_rtt(); }
+
+  RollingBaseline baseline;
+  VerdictPolicy policy;
+  WindowVerdict verdict;
+  bool rtt_alert{false};
+  bool hd_alert{false};
+  int alerts{0};
+};
+
+TEST(OnlineVerdict, NoAlertsDuringWarmup) {
+  OnlineVerdicts online;
+  for (int w = 0; w < 5; ++w) online.seal(w, make_cell(0.040, 0.9, w));
+  EXPECT_EQ(online.alerts, 0);
+  EXPECT_EQ(online.baseline_rtt(), nullptr);
+  EXPECT_EQ(online.verdict.degr.rtt.validity, Validity::kMissing);
+}
+
+TEST(OnlineVerdict, AlertsOnRttJumpAfterWarmup) {
+  OnlineVerdicts online;
+  for (int w = 0; w < 20; ++w) online.seal(w, make_cell(0.040, 0.9, w));
+  ASSERT_NE(online.baseline_rtt(), nullptr);
+  EXPECT_NEAR(online.baseline_rtt()->minrtt_p50(), 0.040, 0.003);
+  EXPECT_EQ(online.alerts, 0) << "steady state must be quiet";
+
+  online.seal(20, make_cell(0.060, 0.9, 20));
+  EXPECT_EQ(online.alerts, 1);
+  EXPECT_EQ(online.verdict.window, 20);
+  EXPECT_TRUE(online.rtt_alert);
+  EXPECT_GT(online.verdict.degr.rtt.diff.lower, 0.005);
+  EXPECT_FALSE(online.hd_alert);
+}
+
+TEST(OnlineVerdict, AlertsOnHdDropIndependently) {
+  OnlineVerdicts online;
+  for (int w = 0; w < 20; ++w) online.seal(w, make_cell(0.040, 0.9, w));
+  online.seal(20, make_cell(0.040, 0.4, 20));
+  EXPECT_EQ(online.alerts, 1);
+  EXPECT_TRUE(online.hd_alert);
+  EXPECT_FALSE(online.rtt_alert);
+}
+
+TEST(OnlineVerdict, HistoryBounded) {
+  RollingBaseline::Config config;
+  config.history_windows = 10;
+  OnlineVerdicts online(config);
+  for (int w = 0; w < 50; ++w) online.seal(w, make_cell(0.040, 0.9, w));
+  EXPECT_EQ(online.baseline.history_size(), 10);
+}
+
+TEST(OnlineVerdict, PersistentShiftBecomesNewBaseline) {
+  RollingBaseline::Config config;
+  config.history_windows = 12;
+  OnlineVerdicts online(config);
+  for (int w = 0; w < 20; ++w) online.seal(w, make_cell(0.040, 0.9, w));
+  // A step change alerts while old windows linger in the history...
+  for (int w = 20; w < 40; ++w) online.seal(w, make_cell(0.060, 0.9, w));
+  EXPECT_GT(online.alerts, 0);
+  const int alerts_during_rollover = online.alerts;
+  // ...but once the 12-window history is all post-step, 60 ms is the new
+  // normal and alerts stop.
+  ASSERT_NE(online.baseline_rtt(), nullptr);
+  EXPECT_NEAR(online.baseline_rtt()->minrtt_p50(), 0.060, 0.003);
+  for (int w = 40; w < 60; ++w) online.seal(w, make_cell(0.060, 0.9, w));
+  EXPECT_EQ(online.alerts, alerts_during_rollover) << "no alerts once re-baselined";
+}
+
+TEST(OnlineVerdict, ThinWindowsCannotFormABaseline) {
+  OnlineVerdicts online;
+  RouteWindowAgg tiny;
+  tiny.add_session(0.040, 0.9, 100);
+  for (int w = 0; w < 30; ++w) online.seal(w, tiny);
+  EXPECT_EQ(online.baseline_rtt(), nullptr)
+      << "windows below the sample floor cannot form a baseline";
+  EXPECT_EQ(online.alerts, 0);
+}
+
+TEST(OnlineVerdict, EmptyWindowsStayOutOfHistory) {
+  OnlineVerdicts online;
+  online.seal(0, RouteWindowAgg{});  // preferred cell present but empty
+  online.seal(1, WindowAgg{});       // no preferred cell at all
+  EXPECT_EQ(online.baseline.history_size(), 0);
+  EXPECT_EQ(online.verdict.window, 1);
+  EXPECT_EQ(online.verdict.degr.rtt.validity, Validity::kMissing);
+  EXPECT_EQ(online.verdict.degr.hd.validity, Validity::kMissing);
+
+  RouteWindowAgg filled;
+  filled.add_session(0.05, 1.0, 1000);
+  online.seal(2, filled);
+  EXPECT_EQ(online.baseline.history_size(), 1);
+  EXPECT_EQ(online.alerts, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "agg/classifier.h"
-#include "agg/monitor.h"
 #include "agg/rollup.h"
 #include "analysis/edge_analysis.h"
 #include "analysis/sweep.h"
@@ -525,23 +524,6 @@ TEST(WindowRollup, ValidityGateKeepsThinCellsOutOfRollups) {
   legacy.add_series(series);
   EXPECT_EQ(legacy.skipped_thin_cells(), 0u);
   EXPECT_EQ(legacy.windows().at(0).route(0)->sessions(), 55);
-}
-
-TEST(DegradationMonitor, EmptyWindowsAreSkippedAndCounted) {
-  int alerts = 0;
-  DegradationMonitor monitor({}, [&](const DegradationEvent&) { ++alerts; });
-  const RouteWindowAgg empty;
-  monitor.on_window_closed(0, empty);
-  monitor.on_window_closed(1, empty);
-  EXPECT_EQ(monitor.skipped_empty(), 2u);
-  EXPECT_EQ(monitor.history_size(), 0);
-
-  RouteWindowAgg filled;
-  filled.add_session(0.05, 1.0, 1000);
-  monitor.on_window_closed(2, filled);
-  EXPECT_EQ(monitor.history_size(), 1);
-  EXPECT_EQ(monitor.skipped_empty(), 2u);
-  EXPECT_EQ(alerts, 0);
 }
 
 TEST(Classifier, DegenerateInputsAreExcludedNotDivided) {

@@ -1,101 +1,14 @@
-// Tests for the online degradation monitor and sample serialization.
+// Tests for sample serialization.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "agg/monitor.h"
 #include "sampler/io.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
 namespace fbedge {
 namespace {
-
-RouteWindowAgg make_window(Duration rtt, double hd, std::uint64_t seed, int n = 80) {
-  RouteWindowAgg agg;
-  Rng rng(seed);
-  for (int i = 0; i < n; ++i) {
-    agg.add_session(std::max(0.001, rtt + rng.normal(0, 0.002)),
-                    std::clamp(hd + rng.normal(0, 0.05), 0.0, 1.0), 1000);
-  }
-  return agg;
-}
-
-// ---------------------------------------------------------------------------
-// DegradationMonitor.
-// ---------------------------------------------------------------------------
-
-TEST(Monitor, NoAlertsDuringWarmup) {
-  int alerts = 0;
-  DegradationMonitor monitor({}, [&](const DegradationEvent&) { ++alerts; });
-  for (int w = 0; w < 5; ++w) {
-    monitor.on_window_closed(w, make_window(0.040, 0.9, w));
-  }
-  EXPECT_EQ(alerts, 0);
-  EXPECT_FALSE(monitor.baseline_minrtt().has_value());
-}
-
-TEST(Monitor, AlertsOnRttJumpAfterWarmup) {
-  std::vector<DegradationEvent> events;
-  DegradationMonitor monitor({}, [&](const DegradationEvent& e) { events.push_back(e); });
-  for (int w = 0; w < 20; ++w) {
-    monitor.on_window_closed(w, make_window(0.040, 0.9, w));
-  }
-  ASSERT_TRUE(monitor.baseline_minrtt().has_value());
-  EXPECT_NEAR(*monitor.baseline_minrtt(), 0.040, 0.003);
-  EXPECT_TRUE(events.empty()) << "steady state must be quiet";
-
-  monitor.on_window_closed(20, make_window(0.060, 0.9, 20));
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].window, 20);
-  ASSERT_TRUE(events[0].rtt.has_value());
-  EXPECT_GT(events[0].rtt->lower, 0.005);
-  EXPECT_FALSE(events[0].hd.has_value());
-}
-
-TEST(Monitor, AlertsOnHdDropIndependently) {
-  std::vector<DegradationEvent> events;
-  DegradationMonitor monitor({}, [&](const DegradationEvent& e) { events.push_back(e); });
-  for (int w = 0; w < 20; ++w) monitor.on_window_closed(w, make_window(0.040, 0.9, w));
-  monitor.on_window_closed(20, make_window(0.040, 0.4, 20));
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_TRUE(events[0].hd.has_value());
-  EXPECT_FALSE(events[0].rtt.has_value());
-}
-
-TEST(Monitor, HistoryBounded) {
-  MonitorConfig cfg;
-  cfg.history_windows = 10;
-  DegradationMonitor monitor(cfg, nullptr);
-  for (int w = 0; w < 50; ++w) monitor.on_window_closed(w, make_window(0.040, 0.9, w));
-  EXPECT_EQ(monitor.history_size(), 10);
-}
-
-TEST(Monitor, PersistentShiftBecomesNewBaseline) {
-  MonitorConfig cfg;
-  cfg.history_windows = 12;
-  int alerts = 0;
-  DegradationMonitor monitor(cfg, [&](const DegradationEvent&) { ++alerts; });
-  for (int w = 0; w < 20; ++w) monitor.on_window_closed(w, make_window(0.040, 0.9, w));
-  // A step change alerts while old windows linger in the history...
-  for (int w = 20; w < 40; ++w) monitor.on_window_closed(w, make_window(0.060, 0.9, w));
-  EXPECT_GT(alerts, 0);
-  const int alerts_during_rollover = alerts;
-  // ...but once the 12-window history is all post-step, 60 ms is the new
-  // normal and alerts stop.
-  EXPECT_NEAR(*monitor.baseline_minrtt(), 0.060, 0.003);
-  for (int w = 40; w < 60; ++w) monitor.on_window_closed(w, make_window(0.060, 0.9, w));
-  EXPECT_EQ(alerts, alerts_during_rollover) << "no alerts once re-baselined";
-}
-
-TEST(Monitor, SparseWindowsDoNotCrash) {
-  DegradationMonitor monitor({}, nullptr);
-  RouteWindowAgg tiny;
-  tiny.add_session(0.040, 0.9, 100);
-  for (int w = 0; w < 30; ++w) monitor.on_window_closed(w, tiny);
-  EXPECT_FALSE(monitor.baseline_minrtt().has_value())
-      << "windows below the sample floor cannot form a baseline";
-}
 
 // ---------------------------------------------------------------------------
 // Sample serialization.

@@ -6,6 +6,11 @@
 // Usage: fbedge_analyze [--threads T] [--cache-dir DIR] [--verbose] [FILE]
 //        (reads stdin if no file)
 //
+// Exits 2 on a bad flag (--threads must be an integer >= 0; 0 = hardware
+// concurrency) and 1 when the input holds no analyzable session (empty,
+// all malformed, or all hosting-filtered) — after printing the ingest
+// counts, so the caller still sees why.
+//
 // --verbose reports (on stderr, so measurement output stays byte-identical)
 // which columnar-kernel path the run dispatched to and why — the guard
 // against an AVX2 build silently falling back to scalar.
@@ -20,6 +25,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +33,7 @@
 #include "agg/series_io.h"
 #include "analysis/ingest_cache.h"
 #include "fbedge/fbedge.h"
+#include "util/cli.h"
 #include "util/simd.h"
 
 using namespace fbedge;
@@ -175,10 +182,17 @@ int main(int argc, char** argv) {
   IngestCacheOptions cache;
   bool verbose = false;
   if (const char* env = std::getenv("FBEDGE_CACHE_DIR")) cache.dir = env;
+  const auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: fbedge_analyze [--threads T] [--cache-dir DIR] "
+                 "[--verbose] [FILE]\n");
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      runtime.threads = std::atoi(argv[++i]);
+      runtime.threads = cli::flag_value("--threads", argv[++i], 0,
+                                        std::numeric_limits<int>::max(), usage);
     } else if (arg == "--cache-dir" && i + 1 < argc) {
       cache.dir = argv[++i];
     } else if (arg == "--verbose") {
@@ -186,10 +200,7 @@ int main(int argc, char** argv) {
     } else if (!arg.empty() && arg[0] != '-') {
       path = arg;
     } else {
-      std::fprintf(stderr,
-                   "usage: fbedge_analyze [--threads T] [--cache-dir DIR] "
-                   "[--verbose] [FILE]\n");
-      return 2;
+      usage();
     }
   }
   if (verbose) {
@@ -244,7 +255,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(state.filtered),
               static_cast<unsigned long long>(state.malformed),
               state.store.group_count());
-  if (state.sessions == 0) return 0;
+  if (state.sessions == 0) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "fbedge_analyze: no session ingested\n");
+    return 1;
+  }
 
   print_header("Performance summary (preferred route)");
   print_quantile_summary("MinRTT [ms]", state.minrtt, 1e3);

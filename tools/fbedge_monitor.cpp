@@ -21,13 +21,20 @@
 //   The fault flags inject stream-transport faults (held-back / duplicated
 //   micro-batches); late rows that miss their window are counted, dropped,
 //   and reported, never crashed on.
+//
+//   Numeric flags are range-checked (util/cli.h): --threads >= 0 (0 =
+//   hardware concurrency), --days/--batch-rows/--late-max-delay >= 1,
+//   --lateness >= 0, --late-rate/--dup-rate in [0, 1]. A bad value prints
+//   usage and exits 2.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "bench_common.h"
 #include "fbedge/fbedge.h"
+#include "util/cli.h"
 
 using namespace fbedge;
 
@@ -60,6 +67,8 @@ int main(int argc, char** argv) {
   StreamMonitorOptions options;
   FaultPlan faults;
   bool dump_verdicts = false;
+  const auto bad = [&] { usage(argv[0]); };
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -67,7 +76,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      rc.runtime.threads = std::atoi(next());
+      rc.runtime.threads = cli::flag_value("--threads", next(), 0, kMaxInt, bad);
     } else if (arg == "--json") {
       rc.json_path = next();
     } else if (arg == "--mode") {
@@ -80,27 +89,26 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--days") {
-      const int days = std::atoi(next());
-      if (days < 1) usage(argv[0]);
+      const int days = cli::flag_value("--days", next(), 1, kMaxInt, bad);
       rc.world.days = days;
       rc.dataset.days = days;
     } else if (arg == "--lateness") {
-      options.allowed_lateness_windows = std::atoi(next());
-      if (options.allowed_lateness_windows < 0) usage(argv[0]);
+      options.allowed_lateness_windows = cli::flag_value("--lateness", next(), 0, kMaxInt, bad);
     } else if (arg == "--batch-rows") {
-      options.max_batch_rows = std::atoi(next());
+      options.max_batch_rows = cli::flag_value("--batch-rows", next(), 1, kMaxInt, bad);
     } else if (arg == "--dump-verdicts") {
       dump_verdicts = true;
     } else if (arg == "--late-rate") {
-      faults.stream_late_rate = std::atof(next());
+      faults.stream_late_rate = cli::flag_value("--late-rate", next(), 0.0, 1.0, bad);
     } else if (arg == "--late-max-delay") {
-      faults.stream_late_max_delay = std::atoi(next());
+      faults.stream_late_max_delay = cli::flag_value("--late-max-delay", next(), 1, kMaxInt, bad);
     } else if (arg == "--dup-rate") {
-      faults.stream_duplicate_rate = std::atof(next());
+      faults.stream_duplicate_rate = cli::flag_value("--dup-rate", next(), 0.0, 1.0, bad);
     } else if (arg == "--fault-seed") {
-      faults.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      faults.seed = static_cast<std::uint64_t>(cli::flag_value(
+          "--fault-seed", next(), 0LL, std::numeric_limits<long long>::max(), bad));
     } else if (!arg.empty() && arg[0] != '-') {
-      rc.world.groups_per_continent = std::atoi(arg.c_str());
+      rc.world.groups_per_continent = cli::flag_value("groups", argv[i], 1, kMaxInt, bad);
     } else {
       usage(argv[0]);
     }
