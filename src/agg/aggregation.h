@@ -82,6 +82,13 @@ class RouteWindowAgg {
     sessions_ = 0;
   }
 
+  /// Trims both sketches (TDigest::trim): a finished cell keeps only its
+  /// compressed centroids. State-neutral, so saved bytes do not change.
+  void trim() {
+    minrtt_.trim();
+    hdratio_.trim();
+  }
+
   /// Bitwise serialization of the cell (counts, traffic, both Welford
   /// accumulators, both sketches). load() into any cell — fresh, reset, or
   /// pooled — reconstructs state whose every query matches save()'s source
@@ -195,6 +202,12 @@ class WindowMap {
     const auto it = lower_bound(w);
     FBEDGE_EXPECT(it != entries_.end() && it->first == w, "window not present");
     return it->second;
+  }
+
+  /// Returns the aggregation for `w`, or nullptr when it is absent.
+  WindowAgg* find(int w) {
+    const auto it = lower_bound(w);
+    return it != entries_.end() && it->first == w ? &it->second : nullptr;
   }
 
   bool empty() const { return entries_.empty(); }

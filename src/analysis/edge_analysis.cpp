@@ -262,7 +262,7 @@ void ingest_group(EdgeScratch& scratch, const DatasetGenerator& generator,
     // trusting the nominal window id would mis-bin a draw that lands
     // exactly on the upper boundary.
     generator.generate_group_batched(
-        group, scratch.batch, [&](int, const SessionBatch& b) {
+        group, scratch.batch, [&](int bw, const SessionBatch& b) {
           // Hosting-provider rows (the §2.2.4 keep_for_analysis filter) are
           // skipped before coalescing ever sees them.
           coalesce_batch(b, b.hosting.data(), scratch.coalesced);
@@ -277,6 +277,12 @@ void ingest_group(EdgeScratch& scratch, const DatasetGenerator& generator,
             series.windows[window_index(b.established_at[i])]
                 .route_pooled(b.route_index[i], scratch.pool)
                 .add_session(b.min_rtt[i], scratch.hd[i].hdratio(), b.total_bytes[i]);
+          }
+          // A row never lands before its batch's window (start >=
+          // window_start), so window bw takes no more adds: compress it now,
+          // where the lazy query compress would, and drop its buffers.
+          if (WindowAgg* done = series.windows.find(bw)) {
+            for (RouteWindowAgg& cell : done->routes) cell.trim();
           }
         });
   } else {
@@ -641,54 +647,69 @@ EdgeReducer::~EdgeReducer() = default;
 void EdgeReducer::reduce_range(const ShardRange& range, const BlobFn& blob,
                                const RuntimeOptions& runtime, RunStats* stats,
                                const SaveFn* save) {
-  Impl& im = *impl_;
-  FBEDGE_EXPECT(range.end <= im.world.groups.size(),
-                "reduce range exceeds the world's group count");
-  const std::size_t n = range.size();
-  if (n == 0) return;
-  // Per-group flags live in a side vector (each slot written by exactly
-  // one task) so blob accounting never introduces cross-thread order
+  reduce_all({RangeJob{this, range, blob, save}}, runtime, stats);
+}
+
+void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
+                             const RuntimeOptions& runtime, RunStats* stats) {
+  // One slot per (job, group), laid out job by job in ascending group
+  // order: the fold order.
+  struct Slot {
+    std::size_t job;
+    std::size_t group;
+  };
+  std::vector<Slot> slots;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const RangeJob& job = jobs[j];
+    FBEDGE_EXPECT(job.range.end <= job.reducer->impl_->world.groups.size(),
+                  "reduce range exceeds the world's group count");
+    for (std::size_t g = job.range.begin; g < job.range.end; ++g) slots.push_back({j, g});
+  }
+  if (slots.empty()) return;
+  // Per-slot flags live in a side vector (each slot written by exactly one
+  // task) so blob accounting never introduces cross-thread order
   // dependence.
-  std::vector<std::uint8_t> from_blob(n, 0);
+  std::vector<std::uint8_t> from_blob(slots.size(), 0);
   auto partials = parallel_map_scratch<EdgeScratch>(
-      n, runtime,
-      [&](EdgeScratch& scratch, std::size_t i) {
-        const std::size_t g = range.begin + i;
+      slots.size(), runtime,
+      [&](EdgeScratch& scratch, std::size_t s) {
+        const std::size_t g = slots[s].group;
+        const RangeJob& job = jobs[slots[s].job];
+        const Impl& im = *job.reducer->impl_;
         const UserGroupProfile& group = im.world.groups[g];
-        if (blob) {
-          const GroupBlobRef b = blob(g);
-          if (!b.empty()) {
-            ByteReader r(b.data, b.size);
-            if (load_group_series(r, scratch.series, &scratch.pool) &&
-                r.remaining() == 0) {
-              from_blob[i] = 1;
-              EdgePartial part;
-              analyze_series_into(scratch, scratch.series, group, im.thresholds,
-                                  im.comparison, im.classifier_config, part);
-              return part;
-            }
-            // Unusable blob: fall through to cold ingest for this group.
-          }
-        }
         EdgePartial part;
+        const GroupBlobRef b = job.blob ? job.blob(g) : GroupBlobRef{};
+        if (!b.empty()) {
+          ByteReader r(b.data, b.size);
+          if (load_group_series(r, scratch.series, &scratch.pool) &&
+              r.remaining() == 0) {
+            from_blob[s] = 1;
+            analyze_series_into(scratch, scratch.series, group, im.thresholds,
+                                im.comparison, im.classifier_config, part);
+            return part;
+          }
+          // Unusable blob: fall through to cold ingest for this group.
+        }
         ingest_group(scratch, im.generator, group, im.goodput, im.faults,
                      part.res.faults);
-        if (save != nullptr && *save) {
+        if (job.save != nullptr && *job.save) {
           scratch.writer.clear();
           save_group_series(scratch.series, scratch.writer);
           std::string bytes = scratch.writer.data();  // keep writer capacity
-          (*save)(g, std::move(bytes));
+          (*job.save)(g, std::move(bytes));
         }
         analyze_series_into(scratch, scratch.series, group, im.thresholds,
                             im.comparison, im.classifier_config, part);
         return part;
       },
       stats);
-  // The determinism rule: fold in ascending group-id order, always.
-  for (std::size_t i = 0; i < n; ++i) {
-    im.total.merge(partials[i]);
+  // The determinism rule: every reducer folds its own partials in
+  // ascending group-id order, always.
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    Impl& im = *jobs[slots[s].job].reducer->impl_;
+    im.total.merge(partials[s]);
+    im.blob_groups += from_blob[s];
   }
-  for (std::size_t i = 0; i < n; ++i) im.blob_groups += from_blob[i];
 }
 
 std::uint64_t EdgeReducer::blob_groups() const { return impl_->blob_groups; }

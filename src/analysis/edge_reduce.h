@@ -75,10 +75,29 @@ class EdgeReducer {
   /// into the running total. Groups whose blob is empty or fails
   /// structural validation are cold-ingested (identical output either
   /// way — serialization round-trips bitwise). `save`, when non-null, is
-  /// invoked for every cold-ingested group.
+  /// invoked for every cold-ingested group. The one-job case of
+  /// reduce_all().
   void reduce_range(const ShardRange& range, const BlobFn& blob,
                     const RuntimeOptions& runtime, RunStats* stats = nullptr,
                     const SaveFn* save = nullptr);
+
+  /// One reducer's share of a reduce_all() pass: the arguments of one
+  /// reduce_range() call.
+  struct RangeJob {
+    EdgeReducer* reducer{nullptr};
+    ShardRange range;
+    BlobFn blob;
+    const SaveFn* save{nullptr};
+  };
+
+  /// Runs every job's (reducer, group) slots as one pool pass, then folds
+  /// each reducer's partials in ascending group order, exactly as
+  /// reduce_range() would. A worker done with its slots steals other
+  /// jobs' slots rather than idling until one job's slowest cold ingest
+  /// ends. Reducers must be distinct; each job obeys reduce_range()'s
+  /// contract.
+  static void reduce_all(const std::vector<RangeJob>& jobs,
+                         const RuntimeOptions& runtime, RunStats* stats = nullptr);
 
   /// Groups analyzed from a provided blob so far (the cache-hit count).
   std::uint64_t blob_groups() const;

@@ -1,8 +1,10 @@
-// Splice-reduce sweep runner: baseline once, per scenario only the
-// affected groups, spliced through EdgeReducer in group-id order.
+// Splice-reduce sweep runner: baseline once, then every scenario's
+// affected groups and splices in one pool pass, each scenario folded
+// through its own EdgeReducer in group-id order.
 #include "analysis/sweep.h"
 
 #include <chrono>
+#include <memory>
 #include <utility>
 
 #include "analysis/edge_reduce.h"
@@ -108,57 +110,79 @@ SweepOutcome run_scenario_sweep(
     return GroupBlobRef{blobs[g].data(), blobs[g].size()};
   };
 
-  // ---- per scenario: splice baseline, re-ingest only the footprint ---------
-  std::vector<std::size_t> affected_index(n);
+  // ---- scenarios: every pack, footprint and fleet hook first ---------------
+  // Each scenario's perturbed world and fleet blobs must outlive the one
+  // pool pass below, so they live in a per-scenario slot sized up front
+  // (the reducers hold references into it).
+  struct ScenarioWork {
+    World perturbed;
+    FaultCounters applied;
+    std::vector<std::size_t> affected_index;
+    std::vector<std::string> blobs;
+    bool have_blobs{false};
+    std::unique_ptr<EdgeReducer> reducer;
+  };
+  std::vector<ScenarioWork> work(packs.size());
+  std::vector<EdgeReducer::RangeJob> jobs;
+  jobs.reserve(packs.size());
+  out.scenarios.resize(packs.size());
   for (std::size_t k = 0; k < packs.size(); ++k) {
     const ScenarioPack& pack = packs[k];
-    SweepScenarioResult scen;
+    ScenarioWork& w = work[k];
+    SweepScenarioResult& scen = out.scenarios[k];
     scen.pack = pack;
-    FaultCounters applied;
-    const World perturbed = apply_scenario(world, pack, &applied);
+    w.perturbed = apply_scenario(world, pack, &w.applied);
     scen.affected = affected_groups(world, pack);
 
-    std::vector<std::string> scen_blobs;
-    bool have_scen_blobs = false;
     if (affected_blobs && !scen.affected.empty()) {
-      have_scen_blobs =
-          affected_blobs(k, pack, perturbed, scen.affected, scen_blobs);
-      FBEDGE_EXPECT(!have_scen_blobs || scen_blobs.size() == scen.affected.size(),
+      w.have_blobs = affected_blobs(k, pack, w.perturbed, scen.affected, w.blobs);
+      FBEDGE_EXPECT(!w.have_blobs || w.blobs.size() == scen.affected.size(),
                     "sweep blob provider must return one blob per affected group");
     }
-
-    affected_index.assign(n, static_cast<std::size_t>(-1));
+    w.affected_index.assign(n, static_cast<std::size_t>(-1));
     for (std::size_t i = 0; i < scen.affected.size(); ++i) {
       FBEDGE_EXPECT(scen.affected[i] < n, "affected group id out of range");
-      affected_index[scen.affected[i]] = i;
+      w.affected_index[scen.affected[i]] = i;
     }
 
-    EdgeReducer reducer(perturbed, config, thresholds, comparison, goodput);
-    const EdgeReducer::BlobFn blob_fn = [&](std::size_t g) -> GroupBlobRef {
-      const std::size_t ai = affected_index[g];
-      if (ai == static_cast<std::size_t>(-1)) return baseline_blob(g);
-      if (have_scen_blobs) {
-        return GroupBlobRef{scen_blobs[ai].data(), scen_blobs[ai].size()};
-      }
-      return GroupBlobRef{};  // cold-ingest under the perturbed world
-    };
-    reducer.reduce_range(ShardRange{0, n}, blob_fn, runtime, stats, nullptr);
-    scen.result = reducer.finish();
+    w.reducer = std::make_unique<EdgeReducer>(w.perturbed, config, thresholds,
+                                              comparison, goodput);
+    jobs.push_back({w.reducer.get(), ShardRange{0, n},
+                    [&w, &baseline_blob](std::size_t g) -> GroupBlobRef {
+                      const std::size_t ai = w.affected_index[g];
+                      if (ai == static_cast<std::size_t>(-1)) return baseline_blob(g);
+                      if (w.have_blobs) {
+                        return GroupBlobRef{w.blobs[ai].data(), w.blobs[ai].size()};
+                      }
+                      return GroupBlobRef{};  // cold-ingest under the perturbed world
+                    },
+                    nullptr});
+  }
 
+  // ---- one pool pass over every (scenario, group) slot ---------------------
+  // Spliced groups read the baseline blob; groups inside a footprint read
+  // the fleet's blob or cold-ingest. Each reducer folds its own partials in
+  // group-id order, so every scenario is byte-identical to its independent
+  // run.
+  EdgeReducer::reduce_all(jobs, runtime, stats);
+
+  for (std::size_t k = 0; k < packs.size(); ++k) {
+    ScenarioWork& w = work[k];
+    SweepScenarioResult& scen = out.scenarios[k];
+    scen.result = w.reducer->finish();
     // Count the sweep's decisions, exactly recountable from the footprint:
     // every group outside it was spliced, every group inside re-ingested
     // (in-process or by a fleet worker).
     const auto recomputed = static_cast<std::uint64_t>(scen.affected.size());
     const auto reused = static_cast<std::uint64_t>(n) - recomputed;
-    scen.result.faults.accumulate(applied);
+    scen.result.faults.accumulate(w.applied);
     scen.result.faults.scenario_groups_reused = reused;
     scen.result.faults.scenario_groups_recomputed = recomputed;
     if (stats) {
-      stats->faults.accumulate(applied);
+      stats->faults.accumulate(w.applied);
       stats->faults.scenario_groups_reused += reused;
       stats->faults.scenario_groups_recomputed += recomputed;
     }
-    out.scenarios.push_back(std::move(scen));
   }
   return out;
 }

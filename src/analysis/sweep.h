@@ -14,8 +14,10 @@
 //      entirely), retaining every group's serialized blob.
 //   2. Per scenario: re-ingest only the affected groups under the
 //      perturbed world; every other group is spliced from the baseline
-//      blob. The EdgeReducer folds partials in ascending group-id order
-//      either way, so the spliced result is byte-identical to an
+//      blob. All scenarios' group slots run as one pool pass
+//      (EdgeReducer::reduce_all), and each scenario's EdgeReducer folds
+//      its own partials in ascending group-id order, so the spliced
+//      result is byte-identical to an
 //      independent run_edge_analysis of the same pack at any --threads —
 //      the sweep-equivalence CI job and the verdict-hash differentials in
 //      tests pin this exactly.
@@ -65,7 +67,8 @@ struct SweepOutcome {
 };
 
 /// Optional provider of pre-ingested blobs for one scenario's affected
-/// groups (the distrib fleet hook). Called once per scenario with the
+/// groups (the distrib fleet hook). Called once per scenario, in pack
+/// order and before any scenario is reduced, with the
 /// perturbed world and the ascending affected group ids; on success it
 /// fills `blobs` with one serialized GroupSeries per affected group (same
 /// order) and returns true. An empty string — or returning false — means

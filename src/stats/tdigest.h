@@ -9,10 +9,11 @@
 //
 // Hot-path design (see DESIGN.md "performance notes"): `centroids_` is kept
 // sorted between compressions, so compress() only sorts the small unmerged
-// buffer and two-pointer-merges it with the existing run into a persistent
-// scratch vector — no allocation and no O(n log n) work over data that is
-// already sorted. Ties sort by (mean, weight) so the output is identical
-// across toolchains regardless of std::sort's handling of equal keys.
+// buffer and two-pointer-merges it with the existing run into a per-thread
+// merge buffer — no steady-state allocation and no O(n log n) work over
+// data that is already sorted. Ties sort by (mean, weight) so the output is
+// identical across toolchains regardless of std::sort's handling of equal
+// keys.
 #pragma once
 
 #include <algorithm>
@@ -89,6 +90,12 @@ class TDigest {
   /// Read-only view of the merged centroids (compresses first).
   const std::vector<Centroid>& centroids() const;
 
+  /// Compresses, then releases the input buffer and shrinks the centroid
+  /// list to its size: the memory form of a digest that will see no more
+  /// add() calls. State-neutral — save() bytes and every query match the
+  /// untrimmed digest's, and later adds behave exactly as after compress().
+  void trim();
+
   /// Returns the digest to its empty post-construction state while keeping
   /// every internal buffer's capacity — the reuse primitive behind the
   /// per-worker aggregation pools (a reset digest produces bit-identical
@@ -115,8 +122,9 @@ class TDigest {
   bool load(ByteReader& r);
 
  private:
-  /// Merges the sorted `run` with the sorted `centroids_` and rebuilds the
-  /// centroid set under the k1 size limit. `run` must not alias members.
+  /// Merges the sorted `run` with the sorted `centroids_` (through the
+  /// calling thread's merge buffer) and rebuilds the centroid set under the
+  /// k1 size limit. `run` must not alias `centroids_`.
   void absorb_sorted_run(const Centroid* run, std::size_t n) const;
 
   double compression_;
@@ -127,10 +135,6 @@ class TDigest {
   // without changing the distribution represented.
   mutable std::vector<Centroid> centroids_;
   mutable std::vector<Centroid> buffer_;
-  /// Persistent merge scratch: compress() writes the combined sorted run
-  /// here, then rebuilds centroids_ from it. Reused across compressions so
-  /// the steady state allocates nothing.
-  mutable std::vector<Centroid> scratch_;
   mutable double total_weight_{0};
   mutable double unmerged_weight_{0};
   std::size_t count_{0};

@@ -1,7 +1,8 @@
 # Runs the tools on rejected input and requires each exact exit status:
 # 2 for a bad numeric flag (util/cli.h), 1 for fbedge_analyze input that
 # holds no session. Invoked by ctest (tests/CMakeLists.txt) as
-#   cmake -DMONITOR=... -DANALYZE=... -DBENCH=... -DWORK_DIR=... -P cli_test.cmake
+#   cmake -DMONITOR=... -DANALYZE=... -DBENCH=... -DWHATIF=... -DWORK_DIR=...
+#         -P cli_test.cmake
 set(failures 0)
 
 function(expect_exit code)
@@ -29,6 +30,17 @@ expect_exit(2 ${BENCH} 2groups)
 foreach(flag "--threads;abc" "--threads;-3")
   expect_exit(2 ${ANALYZE} ${flag} ${WORK_DIR}/cli_test_missing.txt)
 endforeach()
+
+foreach(flag
+    "--threads;abc" "--threads;-3" "--threads;2.5" "--days;0" "--days;x"
+    "--workers;-1" "--workers;2x" "--attempt;-1" "--attempt;z"
+    "--sweep-worker;1" "--sweep-worker;a/2" "--sweep-worker;2/2"
+    "--sweep-worker;-1/2" "--sweep-worker;1/0" "--sweep-worker;1/2x"
+    "--sweep-worker;/2" "--sweep-worker;1/")
+  expect_exit(2 ${WHATIF} 1 --days 1 ${flag})
+endforeach()
+expect_exit(2 ${WHATIF} 0 --days 1)
+expect_exit(2 ${WHATIF} 3x --days 1)
 
 file(WRITE ${WORK_DIR}/cli_test_empty.txt "")
 file(WRITE ${WORK_DIR}/cli_test_garbage.txt "not a sample\n1 2 3\n\n%%%\n")

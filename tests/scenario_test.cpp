@@ -13,6 +13,7 @@
 //      any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -879,7 +880,19 @@ TEST(ScenarioSweep, SweepVerdictsMatchIndependentRunsAtAnyThreadCount) {
     flash_only.flash_crowds.push_back(flash);
     packs.push_back(flash_only);
   }
+  packs.push_back(seeded_pack(world, 4));
   packs.push_back(ScenarioPack{});  // empty pack: zero recomputed groups
+
+  // Three distinct, non-empty footprints: the one pool pass mixes cold
+  // slots of several reducers with every scenario's spliced slots.
+  std::vector<std::vector<std::size_t>> footprints;
+  for (std::size_t k = 0; k < 3; ++k) {
+    footprints.push_back(affected_groups(world, packs[k]));
+    ASSERT_FALSE(footprints.back().empty()) << "pack " << k;
+  }
+  EXPECT_NE(footprints[0], footprints[1]);
+  EXPECT_NE(footprints[0], footprints[2]);
+  EXPECT_NE(footprints[1], footprints[2]);
 
   // Independent full runs, once, at one thread: the reference verdicts.
   const std::uint64_t base_hash =
@@ -893,23 +906,99 @@ TEST(ScenarioSweep, SweepVerdictsMatchIndependentRunsAtAnyThreadCount) {
                        .verdict_hash);
   }
 
-  for (const int n : {1, 4}) {
-    const SweepOutcome outcome =
-        run_scenario_sweep(world, dc, {}, {}, {}, packs, threads(n));
-    EXPECT_EQ(whatif_report(outcome.baseline).verdict_hash, base_hash);
-    ASSERT_EQ(outcome.scenarios.size(), packs.size());
-    for (std::size_t k = 0; k < packs.size(); ++k) {
-      EXPECT_EQ(whatif_report(outcome.scenarios[k].result).verdict_hash,
-                want[k])
-          << "pack " << k << " at " << n << " threads";
-      const auto& faults = outcome.scenarios[k].result.faults;
-      EXPECT_EQ(faults.scenario_groups_reused +
-                    faults.scenario_groups_recomputed,
-                world.groups.size());
+  // A blob provider in the shape of the fleet hook: no blobs at all for
+  // pack 0, truncated (structurally invalid) blobs for pack 1, good blobs
+  // for pack 2. Groups of packs 0 and 1 must cold-ingest inside the pass.
+  std::vector<std::size_t> provider_calls(packs.size(), 0);
+  const SweepAffectedBlobFn provider =
+      [&](std::size_t k, const ScenarioPack&, const World& perturbed,
+          const std::vector<std::size_t>& affected,
+          std::vector<std::string>& blobs) {
+        ++provider_calls[k];
+        if (k == 0) return false;
+        blobs.assign(affected.size(), std::string());
+        std::size_t at = 0;
+        ingest_groups_to_blobs(perturbed, dc, {}, affected, threads(1),
+                               [&](std::size_t, std::string&& blob) {
+                                 blobs[at++] = std::move(blob);
+                               });
+        if (k == 1) {
+          for (std::string& blob : blobs) blob.resize(blob.size() / 2);
+        }
+        return true;
+      };
+
+  for (const int n : {1, 3, 4}) {
+    for (const bool with_provider : {false, true}) {
+      std::fill(provider_calls.begin(), provider_calls.end(), 0);
+      const SweepOutcome outcome = run_scenario_sweep(
+          world, dc, {}, {}, {}, packs, threads(n), nullptr, {}, {},
+          with_provider ? provider : SweepAffectedBlobFn{});
+      EXPECT_EQ(whatif_report(outcome.baseline).verdict_hash, base_hash);
+      ASSERT_EQ(outcome.scenarios.size(), packs.size());
+      for (std::size_t k = 0; k < packs.size(); ++k) {
+        EXPECT_EQ(whatif_report(outcome.scenarios[k].result).verdict_hash,
+                  want[k])
+            << "pack " << k << " at " << n << " threads, provider "
+            << with_provider;
+        const auto& faults = outcome.scenarios[k].result.faults;
+        EXPECT_EQ(faults.scenario_groups_reused +
+                      faults.scenario_groups_recomputed,
+                  world.groups.size());
+      }
+      // The hook runs once per scenario with a non-empty footprint.
+      if (with_provider) {
+        EXPECT_EQ(provider_calls, (std::vector<std::size_t>{1, 1, 1, 0}));
+      }
+      // The empty pack reuses everything.
+      EXPECT_EQ(
+          outcome.scenarios.back().result.faults.scenario_groups_recomputed,
+          0u);
     }
-    // The empty pack reuses everything.
-    EXPECT_EQ(
-        outcome.scenarios.back().result.faults.scenario_groups_recomputed, 0u);
+  }
+}
+
+// reduce_all is reduce_range for several reducers in one pool pass: each
+// reducer's result and blob-hit count match its own reduce_range, whatever
+// mix of blob, truncated-blob and cold slots the pass dispatches.
+TEST(ScenarioSweep, ReduceAllMatchesPerReducerRangesWithColdFallback) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  const std::size_t n = world.groups.size();
+  const World perturbed = apply_scenario(world, seeded_pack(world, 9));
+
+  std::vector<std::string> blobs(n);
+  ingest_range_to_blobs(world, dc, {}, ShardRange{0, n}, threads(1),
+                        [&](std::size_t g, std::string&& blob) {
+                          blobs[g] = std::move(blob);
+                        });
+  // Reducer 0: good blobs for even groups, truncated ones for odd groups.
+  // Reducer 1: every group cold under the perturbed world.
+  const EdgeReducer::BlobFn mixed = [&](std::size_t g) {
+    const std::string& b = blobs[g];
+    return GroupBlobRef{b.data(), g % 2 == 0 ? b.size() : b.size() / 2};
+  };
+  const EdgeReducer::BlobFn none;
+  const std::uint64_t want_mixed =
+      whatif_report(run_edge_analysis(world, dc, {}, {}, {}, threads(1)))
+          .verdict_hash;
+  const std::uint64_t want_cold =
+      whatif_report(run_edge_analysis(perturbed, dc, {}, {}, {}, threads(1)))
+          .verdict_hash;
+
+  for (const int t : {1, 3, 4}) {
+    EdgeReducer a(world, dc, {}, {}, {});
+    EdgeReducer b(perturbed, dc, {}, {}, {});
+    // Two ranges for reducer 0 (ascending, disjoint) around reducer 1.
+    const std::size_t mid = n / 2;
+    EdgeReducer::reduce_all({{&a, ShardRange{0, mid}, mixed, nullptr},
+                             {&b, ShardRange{0, n}, none, nullptr}},
+                            threads(t));
+    a.reduce_range(ShardRange{mid, n}, mixed, threads(t));
+    EXPECT_EQ(a.blob_groups(), (n + 1) / 2) << t << " threads";
+    EXPECT_EQ(b.blob_groups(), 0u) << t << " threads";
+    EXPECT_EQ(whatif_report(a.finish()).verdict_hash, want_mixed) << t << " threads";
+    EXPECT_EQ(whatif_report(b.finish()).verdict_hash, want_cold) << t << " threads";
   }
 }
 

@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "stats/quantiles.h"
 #include "stats/tdigest.h"
 #include "stats/welford.h"
+#include "util/binio.h"
 #include "util/rng.h"
 
 namespace fbedge {
@@ -528,6 +530,68 @@ TEST(TDigest, ManyPartMergeOrderKeepsRankErrorUnderTies) {
   for (double q : {0.05, 0.25, 0.5, 0.75, 0.95}) {
     EXPECT_NEAR(fwd.quantile(q), rev.quantile(q), 0.25) << "q=" << q;
     EXPECT_NEAR(fwd.quantile(q), interleaved.quantile(q), 0.25) << "q=" << q;
+  }
+}
+
+TEST(TDigest, TrimIsStateNeutralOverSeededFeeds) {
+  // trim() is compress() plus releasing memory, so it must leave no trace
+  // in the represented state: save() bytes and every quantile equal the
+  // untrimmed digest's, and a trimmed digest keeps absorbing exactly like
+  // one that was only queried (lazily compressed) at the same point. Feeds
+  // cover continuous values, heavy ties on a tiny integer support, sizes
+  // below and across the auto-compress threshold, and merges after trim.
+  const auto bytes = [](const TDigest& d) {
+    ByteWriter w;
+    d.save(w);
+    return w.data();
+  };
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed * 7919);
+    const bool ties = seed % 2 == 0;
+    const auto draw = [&]() {
+      return ties ? static_cast<double>(rng.uniform_int(0, 5))
+                  : rng.lognormal(-2.0, 1.0);
+    };
+    const auto weight = [&]() {
+      return ties ? static_cast<double>(rng.uniform_int(1, 3)) : 1.0;
+    };
+    const int first = static_cast<int>(seed * 37 % 1500) + 1;
+    const int second = static_cast<int>(seed * 53 % 700);
+
+    TDigest trimmed(100), untrimmed(100), queried(100);
+    for (int i = 0; i < first; ++i) {
+      const double v = draw();
+      const double w = weight();
+      trimmed.add(v, w);
+      untrimmed.add(v, w);
+      queried.add(v, w);
+    }
+    trimmed.trim();
+    EXPECT_EQ(bytes(trimmed), bytes(untrimmed)) << "seed " << seed;
+    for (double q = 0.0; q <= 1.0; q += 0.01) {
+      const double a = trimmed.quantile(q);
+      const double b = untrimmed.quantile(q);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "seed " << seed << " q=" << q;
+    }
+    EXPECT_EQ(trimmed.cdf(1.0), untrimmed.cdf(1.0)) << "seed " << seed;
+
+    // Further adds (and a merge) after trim(): the same state as a digest
+    // that was never trimmed, only queried where the trim ran.
+    (void)queried.quantile(0.5);
+    TDigest other(100);
+    for (int i = 0; i < second; ++i) {
+      const double v = draw();
+      const double w = weight();
+      trimmed.add(v, w);
+      queried.add(v, w);
+      other.add(draw(), weight());
+    }
+    trimmed.merge(other);
+    queried.merge(other);
+    EXPECT_EQ(bytes(trimmed), bytes(queried)) << "seed " << seed;
+    EXPECT_EQ(trimmed.count(), queried.count());
+    EXPECT_EQ(trimmed.min(), queried.min());
+    EXPECT_EQ(trimmed.max(), queried.max());
   }
 }
 

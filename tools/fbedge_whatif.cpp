@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,6 +42,7 @@
 #include "distrib/sweep_fleet.h"
 #include "fbedge/fbedge.h"
 #include "scenario/scenario.h"
+#include "util/cli.h"
 
 using namespace fbedge;
 
@@ -140,32 +142,43 @@ int main(int argc, char** argv) {
   int worker_shard = -1;
   int worker_count = 0;
   int worker_attempt = 0;
+  const auto bad = [&] { usage(argv[0]); };
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      rc.runtime.threads = std::atoi(argv[++i]);
-    } else if (arg == "--days" && i + 1 < argc) {
-      rc.world.days = std::atoi(argv[++i]);
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) usage(argv[0]);
+      return argv[++i];
+    };
+    if (arg == "--threads") {
+      rc.runtime.threads = cli::flag_value("--threads", next(), 0, kMaxInt, bad);
+    } else if (arg == "--days") {
+      rc.world.days = cli::flag_value("--days", next(), 1, kMaxInt, bad);
       rc.dataset.days = rc.world.days;
-    } else if (arg == "--json" && i + 1 < argc) {
-      rc.json_path = argv[++i];
-    } else if (arg == "--cache-dir" && i + 1 < argc) {
-      rc.cache.dir = argv[++i];
-    } else if (arg == "--scenario" && i + 1 < argc) {
-      scenario_paths.emplace_back(argv[++i]);
-    } else if (arg == "--sweep" && i + 1 < argc) {
-      sweep_dir = argv[++i];
-    } else if (arg == "--workers" && i + 1 < argc) {
-      sweep_workers = std::atoi(argv[++i]);
-    } else if (arg == "--sweep-worker" && i + 1 < argc) {
-      // Hidden worker mode: "--sweep-worker S/N" = shard S of N.
-      if (std::sscanf(argv[++i], "%d/%d", &worker_shard, &worker_count) != 2) {
-        usage(argv[0]);
-      }
-    } else if (arg == "--attempt" && i + 1 < argc) {
-      worker_attempt = std::atoi(argv[++i]);
+    } else if (arg == "--json") {
+      rc.json_path = next();
+    } else if (arg == "--cache-dir") {
+      rc.cache.dir = next();
+    } else if (arg == "--scenario") {
+      scenario_paths.emplace_back(next());
+    } else if (arg == "--sweep") {
+      sweep_dir = next();
+    } else if (arg == "--workers") {
+      sweep_workers = cli::flag_value("--workers", next(), 0, kMaxInt, bad);
+    } else if (arg == "--sweep-worker") {
+      // Hidden worker mode: "--sweep-worker S/N" = shard S of N, with
+      // 0 <= S < N; each half must be a whole number.
+      const std::string spec = next();
+      const std::size_t slash = spec.find('/');
+      if (slash == std::string::npos) bad();
+      worker_count = cli::flag_value("--sweep-worker", spec.substr(slash + 1).c_str(),
+                                     1, kMaxInt, bad);
+      worker_shard = cli::flag_value("--sweep-worker", spec.substr(0, slash).c_str(),
+                                     0, worker_count - 1, bad);
+    } else if (arg == "--attempt") {
+      worker_attempt = cli::flag_value("--attempt", next(), 0, kMaxInt, bad);
     } else if (!arg.empty() && arg[0] != '-') {
-      rc.world.groups_per_continent = std::atoi(arg.c_str());
+      rc.world.groups_per_continent = cli::flag_value("groups", argv[i], 1, kMaxInt, bad);
     } else {
       usage(argv[0]);
     }
@@ -190,7 +203,7 @@ int main(int argc, char** argv) {
   // ingest, then exit with the worker's status (the sweep fleet's
   // launcher re-invokes this binary here).
   if (worker_shard >= 0) {
-    if (packs.size() != 1 || rc.cache.dir.empty() || worker_count < 1) {
+    if (packs.size() != 1 || rc.cache.dir.empty()) {
       std::fprintf(stderr,
                    "fbedge_whatif: --sweep-worker needs exactly one "
                    "--scenario and a --cache-dir\n");
