@@ -7,16 +7,32 @@
 // verdicts. Agreement here is what licenses using the fast fluid model
 // for the 10-day dataset.
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "analysis/session_metrics.h"
 #include "stats/cdf.h"
+#include "util/cli.h"
 #include "workload/generator.h"
 #include "workload/packet_generator.h"
 
 using namespace fbedge;
 
+namespace {
+
+[[noreturn]] void usage() {
+  std::fprintf(stderr, "usage: fidelity_check [sessions_per_group]\n");
+  std::exit(2);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const int sessions_per_group = argc > 1 ? std::atoi(argv[1]) : 150;
+  if (argc > 2) usage();
+  const int sessions_per_group =
+      argc > 1 ? cli::flag_value("sessions_per_group", argv[1], 1,
+                                 std::numeric_limits<int>::max(), usage)
+               : 150;
 
   WorldConfig wc;
   wc.seed = 2019;

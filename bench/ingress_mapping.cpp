@@ -6,16 +6,32 @@
 // predominantly of European PoPs serving users in Asia (4.8% of all
 // traffic) and Africa (2.1%)."
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 
 #include "stats/cdf.h"
+#include "util/cli.h"
 #include "workload/world.h"
 
 using namespace fbedge;
 
+namespace {
+
+[[noreturn]] void usage() {
+  std::fprintf(stderr, "usage: ingress_mapping [groups_per_continent]\n");
+  std::exit(2);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  if (argc > 2) usage();
   WorldConfig wc;
   wc.seed = 2019;
-  wc.groups_per_continent = argc > 1 ? std::atoi(argv[1]) : 200;
+  wc.groups_per_continent =
+      argc > 1 ? cli::flag_value("groups_per_continent", argv[1], 1,
+                                 std::numeric_limits<int>::max(), usage)
+               : 200;
   const World world = build_world(wc);
 
   WeightedCdf distance_km;

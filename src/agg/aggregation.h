@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -221,6 +222,18 @@ class WindowMap {
   /// Drops all windows; the entry vector keeps its capacity so a reused
   /// map re-fills without reallocating the spine.
   void clear() { entries_.clear(); }
+
+  /// Moves every window of `tail` onto the end of this map and empties
+  /// `tail`. Every window of `tail` must follow this map's last window, so
+  /// appending a time-ordered series' pieces in order rebuilds it exactly.
+  void append(WindowMap&& tail) {
+    FBEDGE_EXPECT(empty() || tail.empty() ||
+                      entries_.back().first < tail.entries_.front().first,
+                  "appended windows must follow the map's last window");
+    entries_.insert(entries_.end(), std::make_move_iterator(tail.entries_.begin()),
+                    std::make_move_iterator(tail.entries_.end()));
+    tail.entries_.clear();
+  }
 
   /// Removes every window for which `pred(window, agg)` is true; returns
   /// how many were removed. Remaining windows keep their ascending order.

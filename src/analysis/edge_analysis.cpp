@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -241,6 +243,49 @@ struct EdgePartial {
   }
 };
 
+/// The fault-free ingest body for one window range: generates `group`'s
+/// sessions from `cursor` up to the chunk cut at or after `cut`
+/// (advance_to_cut) and folds them into `series`, one window of sessions
+/// at a time through coalesce -> HD -> aggregate in the worker's arenas
+/// (route cells come from `scratch.pool`). Whole-group ingest is the
+/// one-chunk case (cursor at window 0, cut at the span's end); a split
+/// group runs it once per chunk into that chunk's own series.
+void ingest_windows(EdgeScratch& scratch, const DatasetGenerator& generator,
+                    const UserGroupProfile& group, const GoodputConfig& goodput,
+                    GroupCursor& cursor, int cut, GroupSeries& series) {
+  // Rows arrive in the same order generate_group emits sessions and carry
+  // bit-identical values (same simulation template, same RNG stream), and
+  // the window index is still computed per row from established_at — a
+  // session's start is drawn in [window_start, window_start +
+  // kWindowLength], so trusting the nominal window id would mis-bin a draw
+  // that lands exactly on the upper boundary.
+  const WindowBatchSink sink = [&](int bw, const SessionBatch& b) {
+    // Hosting-provider rows (the §2.2.4 keep_for_analysis filter) are
+    // skipped before coalescing ever sees them.
+    coalesce_batch(b, b.hosting.data(), scratch.coalesced);
+    const std::size_t rows = b.size();
+    scratch.hd.resize(rows);
+    evaluate_hd_batch(scratch.coalesced.txns.data(), scratch.coalesced.offset.data(),
+                      scratch.coalesced.count.data(), rows, scratch.hd.data(), goodput);
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (b.hosting[i] != 0) continue;
+      series.windows[window_index(b.established_at[i])]
+          .route_pooled(b.route_index[i], scratch.pool)
+          .add_session(b.min_rtt[i], scratch.hd[i].hdratio(), b.total_bytes[i]);
+    }
+    // A row never lands before its batch's window (start >= window_start),
+    // so window bw takes no more adds: compress it now, where the lazy
+    // query compress would, and drop its buffers.
+    if (WindowAgg* done = series.windows.find(bw)) {
+      for (RouteWindowAgg& cell : done->routes) cell.trim();
+    }
+  };
+  advance_to_cut(cursor, cut, generator.total_windows(),
+                 [&](GroupCursor& c, int end) {
+                   generator.generate_windows_batched(group, c, end, scratch.batch, sink);
+                 });
+}
+
 /// The ingest half of the pipeline: simulates this group's sampled
 /// sessions and folds them into `scratch.series` (recycled through
 /// `scratch.pool` first). This is the expensive, cacheable stage — its
@@ -253,38 +298,9 @@ void ingest_group(EdgeScratch& scratch, const DatasetGenerator& generator,
   scratch.pool.recycle(series);
   series.continent = group.continent;
   if (!faults.sampler_faults()) {
-    // Batched columnar path: one window of sessions at a time through
-    // coalesce -> HD -> aggregate, all in per-worker arenas. Rows arrive in
-    // the same order generate_group emits sessions and carry bit-identical
-    // values (same simulation template, same RNG stream), and the window
-    // index is still computed per row from established_at — a session's
-    // start is drawn in [window_start, window_start + kWindowLength], so
-    // trusting the nominal window id would mis-bin a draw that lands
-    // exactly on the upper boundary.
-    generator.generate_group_batched(
-        group, scratch.batch, [&](int bw, const SessionBatch& b) {
-          // Hosting-provider rows (the §2.2.4 keep_for_analysis filter) are
-          // skipped before coalescing ever sees them.
-          coalesce_batch(b, b.hosting.data(), scratch.coalesced);
-          const std::size_t rows = b.size();
-          scratch.hd.resize(rows);
-          evaluate_hd_batch(scratch.coalesced.txns.data(),
-                            scratch.coalesced.offset.data(),
-                            scratch.coalesced.count.data(), rows, scratch.hd.data(),
-                            goodput);
-          for (std::size_t i = 0; i < rows; ++i) {
-            if (b.hosting[i] != 0) continue;
-            series.windows[window_index(b.established_at[i])]
-                .route_pooled(b.route_index[i], scratch.pool)
-                .add_session(b.min_rtt[i], scratch.hd[i].hdratio(), b.total_bytes[i]);
-          }
-          // A row never lands before its batch's window (start >=
-          // window_start), so window bw takes no more adds: compress it now,
-          // where the lazy query compress would, and drop its buffers.
-          if (WindowAgg* done = series.windows.find(bw)) {
-            for (RouteWindowAgg& cell : done->routes) cell.trim();
-          }
-        });
+    GroupCursor cursor = generator.group_cursor(group);
+    ingest_windows(scratch, generator, group, goodput, cursor,
+                   generator.total_windows(), series);
   } else {
     // The fault stage sits where the load balancer hands records to the
     // analytics tier; records that fail semantic validation after a fault
@@ -308,6 +324,70 @@ void ingest_group(EdgeScratch& scratch, const DatasetGenerator& generator,
     AggFaultStage(faults).apply(series, group_fault_key(group.key), fault_counters);
   }
 }
+
+/// Windows per chunk of a split group's ingest: one day.
+constexpr int kSplitStrideWindows = 96;
+
+/// One split group's shared ingest state inside a reduce_all pass. Chunk k
+/// covers the windows from cut k to cut k + 1 (advance_to_cut from k *
+/// kSplitStrideWindows), so chunks share no window and appending their
+/// series in chunk order rebuilds the whole-group series exactly.
+class SplitIngest {
+ public:
+  void start(int chunks) {
+    chunks_.resize(static_cast<std::size_t>(chunks));
+    cursors_.reserve(static_cast<std::size_t>(chunks));
+    pending_.store(chunks, std::memory_order_relaxed);
+  }
+
+  /// Ingests chunk k into its own series, with cells from the worker's
+  /// pool. Returns true on the task that finishes the group's last chunk:
+  /// the whole series is then assembled in `scratch.series`.
+  bool ingest_chunk(EdgeScratch& scratch, const DatasetGenerator& generator,
+                    const UserGroupProfile& group, const GoodputConfig& goodput,
+                    int k) {
+    GroupCursor cursor = cursor_at(generator, group, k);
+    // The worker's idle series lends its cells to the chunk.
+    scratch.pool.recycle(scratch.series);
+    ingest_windows(scratch, generator, group, goodput, cursor,
+                   std::min((k + 1) * kSplitStrideWindows, generator.total_windows()),
+                   chunks_[static_cast<std::size_t>(k)]);
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) != 1) return false;
+    scratch.series.continent = group.continent;
+    for (GroupSeries& chunk : chunks_) scratch.series.windows.append(std::move(chunk.windows));
+    chunks_ = {};
+    return true;
+  }
+
+ private:
+  /// Chunk k's start cursor. The table grows in chunk order, one count-only
+  /// skip per step under the mutex, so a chunk waits only for the skips
+  /// before its own start.
+  GroupCursor cursor_at(const DatasetGenerator& generator,
+                        const UserGroupProfile& group, int k) {
+    for (;;) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (cursors_.size() > static_cast<std::size_t>(k)) {
+        return cursors_[static_cast<std::size_t>(k)];
+      }
+      if (cursors_.empty()) {
+        cursors_.push_back(generator.group_cursor(group));
+        continue;
+      }
+      GroupCursor next = cursors_.back();
+      advance_to_cut(next, static_cast<int>(cursors_.size()) * kSplitStrideWindows,
+                     generator.total_windows(), [&](GroupCursor& c, int end) {
+                       generator.skip_windows(group, c, end);
+                     });
+      cursors_.push_back(next);
+    }
+  }
+
+  std::mutex mutex_;
+  std::vector<GroupCursor> cursors_;  // cursors_[k]: start of chunk k
+  std::vector<GroupSeries> chunks_;
+  std::atomic<int> pending_{0};  // chunks not yet ingested
+};
 
 /// The analysis half: everything downstream of the per-group series —
 /// degradation, opportunity, temporal classification, Tables 1-2, Fig. 10.
@@ -654,9 +734,11 @@ void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
                              const RuntimeOptions& runtime, RunStats* stats) {
   // One slot per (job, group), laid out job by job in ascending group
   // order: the fold order.
+  constexpr std::size_t kWhole = static_cast<std::size_t>(-1);
   struct Slot {
     std::size_t job;
     std::size_t group;
+    std::size_t split{kWhole};  // index into `splits` for a split slot
   };
   std::vector<Slot> slots;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
@@ -666,41 +748,92 @@ void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
     for (std::size_t g = job.range.begin; g < job.range.end; ++g) slots.push_back({j, g});
   }
   if (slots.empty()) return;
-  // Per-slot flags live in a side vector (each slot written by exactly one
-  // task) so blob accounting never introduces cross-thread order
-  // dependence.
+
+  // The split schedule: a known-cold group of a fault-free reducer bigger
+  // than its fair share of the pass's known-cold sessions becomes one task
+  // per chunk of windows. At one thread nothing exceeds the whole.
+  std::vector<double> cold_sessions(slots.size(), 0.0);
+  double cold_total = 0;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const RangeJob& job = jobs[slots[s].job];
+    const Impl& im = *job.reducer->impl_;
+    const std::size_t g = slots[s].group;
+    const bool known_cold =
+        !job.blob || std::binary_search(job.cold.begin(), job.cold.end(), g);
+    if (im.faults.enabled() || !known_cold) continue;
+    cold_sessions[s] = im.world.groups[g].sessions_per_window *
+                       im.config.session_scale * im.generator.total_windows();
+    cold_total += cold_sessions[s];
+  }
+  const double fair_share = cold_total / resolve_threads(runtime.threads);
+  struct Task {
+    std::size_t slot;
+    int chunk;
+  };
+  std::vector<Task> tasks;
+  std::vector<int> split_chunks;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const int windows = jobs[slots[s].job].reducer->impl_->generator.total_windows();
+    const int chunks = cold_sessions[s] > fair_share
+                           ? (windows + kSplitStrideWindows - 1) / kSplitStrideWindows
+                           : 1;
+    if (chunks > 1) {
+      slots[s].split = split_chunks.size();
+      split_chunks.push_back(chunks);
+    }
+    for (int c = 0; c < chunks; ++c) tasks.push_back({s, c});
+  }
+  std::vector<SplitIngest> splits(split_chunks.size());
+  for (std::size_t i = 0; i < splits.size(); ++i) splits[i].start(split_chunks[i]);
+
+  // Partials and blob flags are per slot, each written by exactly one task
+  // (a split slot's by its last chunk), so nothing depends on the order
+  // tasks finish in.
+  std::vector<EdgePartial> partials(slots.size());
   std::vector<std::uint8_t> from_blob(slots.size(), 0);
-  auto partials = parallel_map_scratch<EdgeScratch>(
-      slots.size(), runtime,
-      [&](EdgeScratch& scratch, std::size_t s) {
-        const std::size_t g = slots[s].group;
-        const RangeJob& job = jobs[slots[s].job];
+  parallel_for_scratch<EdgeScratch>(
+      tasks.size(), runtime,
+      [&](EdgeScratch& scratch, std::size_t t) {
+        const Slot& slot = slots[tasks[t].slot];
+        const RangeJob& job = jobs[slot.job];
         const Impl& im = *job.reducer->impl_;
+        const std::size_t g = slot.group;
         const UserGroupProfile& group = im.world.groups[g];
-        EdgePartial part;
+        EdgePartial& part = partials[tasks[t].slot];
+        // A cold-ingested series in scratch.series: save, then analyze.
+        const auto finish_cold = [&] {
+          if (job.save != nullptr && *job.save) {
+            scratch.writer.clear();
+            save_group_series(scratch.series, scratch.writer);
+            std::string bytes = scratch.writer.data();  // keep writer capacity
+            (*job.save)(g, std::move(bytes));
+          }
+          analyze_series_into(scratch, scratch.series, group, im.thresholds,
+                              im.comparison, im.classifier_config, part);
+        };
+        if (slot.split != kWhole) {
+          // Only the task that finishes the group's last chunk goes on.
+          if (splits[slot.split].ingest_chunk(scratch, im.generator, group,
+                                              im.goodput, tasks[t].chunk)) {
+            finish_cold();
+          }
+          return;
+        }
         const GroupBlobRef b = job.blob ? job.blob(g) : GroupBlobRef{};
         if (!b.empty()) {
           ByteReader r(b.data, b.size);
           if (load_group_series(r, scratch.series, &scratch.pool) &&
               r.remaining() == 0) {
-            from_blob[s] = 1;
+            from_blob[tasks[t].slot] = 1;
             analyze_series_into(scratch, scratch.series, group, im.thresholds,
                                 im.comparison, im.classifier_config, part);
-            return part;
+            return;
           }
           // Unusable blob: fall through to cold ingest for this group.
         }
         ingest_group(scratch, im.generator, group, im.goodput, im.faults,
                      part.res.faults);
-        if (job.save != nullptr && *job.save) {
-          scratch.writer.clear();
-          save_group_series(scratch.series, scratch.writer);
-          std::string bytes = scratch.writer.data();  // keep writer capacity
-          (*job.save)(g, std::move(bytes));
-        }
-        analyze_series_into(scratch, scratch.series, group, im.thresholds,
-                            im.comparison, im.classifier_config, part);
-        return part;
+        finish_cold();
       },
       stats);
   // The determinism rule: every reducer folds its own partials in

@@ -82,12 +82,18 @@ class EdgeReducer {
                     const SaveFn* save = nullptr);
 
   /// One reducer's share of a reduce_all() pass: the arguments of one
-  /// reduce_range() call.
+  /// reduce_range() call, plus a scheduling hint.
   struct RangeJob {
     EdgeReducer* reducer{nullptr};
     ShardRange range;
     BlobFn blob;
     const SaveFn* save{nullptr};
+    /// Ascending ids of groups known to cold-ingest (`blob` returns an
+    /// empty ref for them); a null `blob` means every group is. The
+    /// schedule alone reads this, and a split group's `blob` is never
+    /// called. A wrong hint costs time, never bytes: a cold ingest is
+    /// exactly what a valid blob holds.
+    std::vector<std::size_t> cold{};
   };
 
   /// Runs every job's (reducer, group) slots as one pool pass, then folds
@@ -96,6 +102,14 @@ class EdgeReducer {
   /// jobs' slots rather than idling until one job's slowest cold ingest
   /// ends. Reducers must be distinct; each job obeys reduce_range()'s
   /// contract.
+  ///
+  /// A known-cold group of a fault-free reducer whose expected sessions
+  /// exceed (the pass's known-cold expected sessions) / threads is split
+  /// by time: each day of windows is its own task, started from a cursor
+  /// the count-only skip computes in order inside the pass, and the last
+  /// chunk to finish assembles the series, saves and analyzes it. The
+  /// assembled series is byte-identical to a whole-group ingest, so the
+  /// split never shows in any output (RunStats::tasks counts its tasks).
   static void reduce_all(const std::vector<RangeJob>& jobs,
                          const RuntimeOptions& runtime, RunStats* stats = nullptr);
 

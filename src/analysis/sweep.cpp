@@ -156,7 +156,10 @@ SweepOutcome run_scenario_sweep(
                       }
                       return GroupBlobRef{};  // cold-ingest under the perturbed world
                     },
-                    nullptr});
+                    nullptr,
+                    // Without fleet blobs every affected group is known
+                    // cold, so the pass may split a heavy one by time.
+                    w.have_blobs ? std::vector<std::size_t>{} : scen.affected});
   }
 
   // ---- one pool pass over every (scenario, group) slot ---------------------

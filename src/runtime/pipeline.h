@@ -51,28 +51,37 @@ auto parallel_map(std::size_t n, const RuntimeOptions& options, Fn&& fn,
   return partials;
 }
 
-/// As parallel_map, but each task also receives a reference to a per-worker
-/// Scratch object (one per pool thread, default-constructed). A worker owns
-/// its scratch slot exclusively while inside a task, so the scratch can hold
-/// reusable arenas (SessionBatch, coalesced-txn buffers, ...) that persist
-/// across all the groups that worker processes — per-group allocations
-/// happen only while an arena is still growing toward its high-water mark.
-/// Determinism: fn must fully overwrite/clear whatever scratch state it
-/// reads, so a task's result is independent of which worker (and which
-/// scratch history) ran it; results are still merged by index.
+/// Runs fn(scratch, i) for every i in [0, n) on the pool, where `scratch`
+/// is a per-worker Scratch object (one per pool thread,
+/// default-constructed). A worker owns its scratch slot exclusively while
+/// inside a task, so the scratch can hold reusable arenas (SessionBatch,
+/// coalesced-txn buffers, ...) that persist across all the tasks that
+/// worker runs — per-task allocations happen only while an arena is still
+/// growing toward its high-water mark. Determinism: fn must fully
+/// overwrite/clear whatever scratch state it reads, so a task's outputs
+/// are independent of which worker (and which scratch history) ran it.
+template <typename Scratch, typename Fn>
+void parallel_for_scratch(std::size_t n, const RuntimeOptions& options, Fn&& fn,
+                          RunStats* stats = nullptr) {
+  ThreadPool pool(resolve_threads(options.threads));
+  std::vector<Scratch> scratch(static_cast<std::size_t>(pool.threads()));
+  RunStats rs = pool.parallel_for_workers(
+      ShardPlan::make(n, pool.threads()), [&](int worker, std::size_t i) {
+        fn(scratch[static_cast<std::size_t>(worker)], i);
+      });
+  if (stats) stats->accumulate(rs);
+}
+
+/// parallel_for_scratch whose task returns a value: the results, indexed
+/// by i (each slot written by exactly one task, merged by index).
 template <typename Scratch, typename Fn>
 auto parallel_map_scratch(std::size_t n, const RuntimeOptions& options, Fn&& fn,
                           RunStats* stats = nullptr) {
   using Partial = std::decay_t<std::invoke_result_t<Fn&, Scratch&, std::size_t>>;
   std::vector<Partial> partials(n);
-  ThreadPool pool(resolve_threads(options.threads));
-  std::vector<Scratch> scratch(static_cast<std::size_t>(pool.threads()));
-  RunStats rs = pool.parallel_for_workers(
-      ShardPlan::make(n, pool.threads()),
-      [&](int worker, std::size_t i) {
-        partials[i] = fn(scratch[static_cast<std::size_t>(worker)], i);
-      });
-  if (stats) stats->accumulate(rs);
+  parallel_for_scratch<Scratch>(
+      n, options,
+      [&](Scratch& scratch, std::size_t i) { partials[i] = fn(scratch, i); }, stats);
   return partials;
 }
 

@@ -71,6 +71,15 @@ class Rng {
 
   double normal(double mean, double stddev) { return mean + stddev * normal(); }
 
+  /// Consumes exactly the draws normal() would (its u1 redraw rule
+  /// included) without computing the value: the count-only cursor skips
+  /// in workload/generator.h replay a draw sequence this way.
+  void skip_normal() {
+    while (uniform() <= 1e-300) {
+    }
+    (*this)();
+  }
+
   /// Lognormal with given parameters of the underlying normal.
   double lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 
@@ -79,6 +88,12 @@ class Rng {
     double u = uniform();
     while (u <= 1e-300) u = uniform();
     return -mean * std::log(u);
+  }
+
+  /// Consumes exactly the draws exponential() would, without the log.
+  void skip_exponential() {
+    while (uniform() <= 1e-300) {
+    }
   }
 
   /// Pareto with scale xm > 0 and shape alpha > 0.
@@ -91,6 +106,9 @@ class Rng {
   /// Derives an independent child generator; use to give each entity
   /// (session, prefix, window) its own stream without correlation.
   Rng fork() { return Rng((*this)() ^ 0xd1b54a32d192ed03ULL); }
+
+  /// Same state: both generators produce the same sequence from here on.
+  bool operator==(const Rng&) const = default;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

@@ -161,4 +161,18 @@ void TrafficModel::make_session_into(SessionId id, Rng& rng, SessionSpec& spec) 
   spec.duration = std::max(spec.duration, t + 0.1);
 }
 
+void TrafficModel::skip_session(Rng& rng) const {
+  const HttpVersion version = sample_version(rng);
+  rng();  // endpoint
+  rng();  // duration
+  const int txns = sample_txn_count(version, rng);
+  rng();  // leading-burst offset
+  for (int i = 0; i < txns; ++i) {
+    rng();  // response size
+    if (version == HttpVersion::kHttp2) rng();  // priority
+    rng();  // back-to-back flag
+    rng.skip_exponential();  // gap (either mean draws the same way)
+  }
+}
+
 }  // namespace fbedge

@@ -56,6 +56,14 @@ class TrafficModel {
   /// Same RNG draw sequence and output as make_session.
   void make_session_into(SessionId id, Rng& rng, SessionSpec& spec) const;
 
+  /// Count-only twin of make_session_into: advances `rng` past exactly the
+  /// draws make_session_into would take, computing only the values that
+  /// decide how many draws follow (version, transaction count) and
+  /// keeping exponential()'s redraw rule. A change to make_session_into's
+  /// draws must be mirrored here; the cursor tests in workload_test pin
+  /// the two together.
+  void skip_session(Rng& rng) const;
+
   // Individual samplers, exposed for tests and for Fig. 1-3 shape checks.
   Duration sample_duration(HttpVersion v, Rng& rng) const;
   int sample_txn_count(HttpVersion v, Rng& rng) const;

@@ -115,8 +115,11 @@ void DatasetGenerator::run_session_emit(const UserGroupProfile& group,
                                         const SessionSpec& spec, int route_index,
                                         SimTime start, Rng& rng, Emitter& emit) const {
   // Draw order below is calibrated state (see CLAUDE.md): ip, hosting flag,
-  // client rate, bufferbloat, connection seed, then the per-group path and
-  // fluid-model draws. One ResponseWrite is emitted per transaction.
+  // client rate, bufferbloat, connection seed. These are all of a session's
+  // group-stream draws — the fluid model runs on the connection seed and
+  // path_conditions draws nothing — and skip_session_draws below is their
+  // count-only twin: change one, change both. One ResponseWrite is emitted
+  // per transaction.
   const std::uint32_t ip =
       group.key.prefix.addr + static_cast<std::uint32_t>(rng.uniform_int(1, 1000));
   const bool hosting = rng.bernoulli(config_.hosting_fraction);
@@ -224,38 +227,53 @@ void DatasetGenerator::run_session_emit(const UserGroupProfile& group,
                       std::isfinite(min_rtt) ? min_rtt : 0);
 }
 
-void DatasetGenerator::generate_group(const UserGroupProfile& group,
-                                      const SessionSink& sink) const {
+double DatasetGenerator::window_mean(const UserGroupProfile& group, int w) const {
+  // Diurnal traffic volume: more sessions at local evening peak.
+  const SimTime window_start = w * kWindowLength;
+  const double peak_boost =
+      in_peak_hours(group, window_start + kWindowLength / 2) ? 1.5 : 1.0;
+  return group.sessions_per_window * config_.session_scale * peak_boost;
+}
+
+GroupCursor DatasetGenerator::group_cursor(const UserGroupProfile& group) const {
   // Deterministic per-group stream regardless of group order or which
   // shard/thread of the runtime processes this group (same bits as the
   // pre-runtime derivation; world calibration depends on it).
-  Rng rng = entity_stream(config_.seed,
-                          hash_mix(group.key.prefix.addr) ^
-                              (static_cast<std::uint64_t>(group.key.pop.value) << 32));
-  std::uint64_t session_seq =
-      static_cast<std::uint64_t>(group.key.prefix.addr) << 20;
+  GroupCursor cursor;
+  cursor.rng = entity_stream(config_.seed,
+                             hash_mix(group.key.prefix.addr) ^
+                                 (static_cast<std::uint64_t>(group.key.pop.value) << 32));
+  cursor.session_seq = static_cast<std::uint64_t>(group.key.prefix.addr) << 20;
+  return cursor;
+}
 
-  const int total_windows = config_.days * 96;
+void DatasetGenerator::skip_session_draws(const UserGroupProfile& group,
+                                          Rng& rng) const {
+  rng();  // ip (uniform_int takes one draw)
+  rng();  // hosting flag
+  skip_client_rate(group, rng);
+  if (rng.bernoulli(config_.bufferbloat_fraction)) rng();  // bloat amount
+  rng();  // connection seed
+}
+
+void DatasetGenerator::generate_group(const UserGroupProfile& group,
+                                      const SessionSink& sink) const {
+  GroupCursor c = group_cursor(group);
   const int num_routes = static_cast<int>(group.routes.size());
   // Session scratch reused across the whole group: spec.transactions and
   // sample.writes keep their capacity, so session generation is
   // allocation-free at steady state.
   SessionSpec spec;
   SessionSample sample;
-  for (int w = 0; w < total_windows; ++w) {
-    // Diurnal traffic volume: more sessions at local evening peak.
-    const SimTime window_start = w * kWindowLength;
-    const double peak_boost = in_peak_hours(group, window_start + kWindowLength / 2)
-                                  ? 1.5
-                                  : 1.0;
-    const int sessions =
-        poisson(rng, group.sessions_per_window * config_.session_scale * peak_boost);
+  for (; c.window < total_windows(); ++c.window) {
+    const SimTime window_start = c.window * kWindowLength;
+    const int sessions = poisson(c.rng, window_mean(group, c.window));
     for (int s = 0; s < sessions; ++s) {
-      const SessionId id{session_seq++};
-      const SimTime start = window_start + rng.uniform(0.0, kWindowLength);
-      traffic_.make_session_into(id, rng, spec);
+      const SessionId id{c.session_seq++};
+      const SimTime start = window_start + c.rng.uniform(0.0, kWindowLength);
+      traffic_.make_session_into(id, c.rng, spec);
       const int route = sampler_.choose_route(id, num_routes);
-      run_session_into(group, spec, route, start, rng, sample);
+      run_session_into(group, spec, route, start, c.rng, sample);
       sink(sample);
     }
   }
@@ -264,36 +282,60 @@ void DatasetGenerator::generate_group(const UserGroupProfile& group,
 void DatasetGenerator::generate_group_batched(const UserGroupProfile& group,
                                               SessionBatch& batch,
                                               const WindowBatchSink& sink) const {
+  GroupCursor cursor = group_cursor(group);
+  generate_windows_batched(group, cursor, total_windows(), batch, sink);
+}
+
+void DatasetGenerator::generate_windows_batched(const UserGroupProfile& group,
+                                                GroupCursor& cursor, int end,
+                                                SessionBatch& batch,
+                                                const WindowBatchSink& sink) const {
   // Mirrors generate_group draw-for-draw: same per-group stream seed, same
   // poisson/start/make_session draws per window, so either path can consume
-  // the group and produce bit-identical values.
-  Rng rng = entity_stream(config_.seed,
-                          hash_mix(group.key.prefix.addr) ^
-                              (static_cast<std::uint64_t>(group.key.pop.value) << 32));
-  std::uint64_t session_seq =
-      static_cast<std::uint64_t>(group.key.prefix.addr) << 20;
-
-  const int total_windows = config_.days * 96;
+  // the group and produce bit-identical values. The cursor is copied into
+  // locals for the loop and written back once, so the hot loop's state
+  // lives in registers rather than behind the caller's reference.
+  Rng rng = cursor.rng;
+  std::uint64_t session_seq = cursor.session_seq;
+  bool spill = cursor.spill;
   const int num_routes = static_cast<int>(group.routes.size());
   SessionSpec spec;
   BatchEmitter emit{batch};
-  for (int w = 0; w < total_windows; ++w) {
+  int w = cursor.window;
+  for (; w < end; ++w) {
     batch.clear();
-    // Diurnal traffic volume: more sessions at local evening peak.
     const SimTime window_start = w * kWindowLength;
-    const double peak_boost = in_peak_hours(group, window_start + kWindowLength / 2)
-                                  ? 1.5
-                                  : 1.0;
-    const int sessions =
-        poisson(rng, group.sessions_per_window * config_.session_scale * peak_boost);
+    const int sessions = poisson(rng, window_mean(group, w));
+    spill = false;
     for (int s = 0; s < sessions; ++s) {
       const SessionId id{session_seq++};
       const SimTime start = window_start + rng.uniform(0.0, kWindowLength);
+      spill = spill || window_index(start) != w;
       traffic_.make_session_into(id, rng, spec);
       const int route = sampler_.choose_route(id, num_routes);
       run_session_emit(group, spec, route, start, rng, emit);
     }
     if (!batch.empty()) sink(w, batch);
+  }
+  cursor = GroupCursor{rng, session_seq, w, spill};
+}
+
+void DatasetGenerator::skip_windows(const UserGroupProfile& group, GroupCursor& c,
+                                    int end) const {
+  // generate_windows_batched's loop with every session reduced to its
+  // draw count; choose_route hashes the session id and draws nothing.
+  for (; c.window < end; ++c.window) {
+    const int w = c.window;
+    const SimTime window_start = w * kWindowLength;
+    const int sessions = poisson(c.rng, window_mean(group, w));
+    c.spill = false;
+    for (int s = 0; s < sessions; ++s) {
+      ++c.session_seq;
+      const SimTime start = window_start + c.rng.uniform(0.0, kWindowLength);
+      c.spill = c.spill || window_index(start) != w;
+      traffic_.skip_session(c.rng);
+      skip_session_draws(group, c.rng);
+    }
   }
 }
 

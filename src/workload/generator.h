@@ -41,6 +41,37 @@ using SessionSink = std::function<void(const SessionSample&)>;
 /// at least one session). The batch reference is only valid for the call.
 using WindowBatchSink = std::function<void(int window, const SessionBatch&)>;
 
+/// Where one group's session stream stands: the group Rng, the next
+/// session id and the next window to generate. Every draw of a group comes
+/// from this Rng in window order, and none depends on a simulated result
+/// (the fluid model runs on its own seed, path_conditions draws nothing),
+/// so a cursor at window w — reached by generating or by the count-only
+/// skip — continues with exactly the rows a whole-group run makes from w.
+struct GroupCursor {
+  Rng rng;
+  std::uint64_t session_seq{0};
+  int window{0};
+  /// Whether a session of the window just passed started in the next one
+  /// (a start drawn in [w, w + 1) windows can round up to the boundary).
+  /// A chunk cut after such a window would split that window's rows.
+  bool spill{false};
+
+  bool operator==(const GroupCursor&) const = default;
+};
+
+/// Moves `cursor` to the chunk cut at or after window `cut`: `step(cursor,
+/// end)` advances it to `end` (generate_windows_batched or skip_windows,
+/// bound to one group), first to `cut`, then one window at a time while
+/// the window just passed spilled a row into the next. So no two chunks
+/// share a window, and generating and skipping stop at the same cut. A
+/// cursor already at or past `cut` stays put (that chunk is empty).
+template <typename Step>
+void advance_to_cut(GroupCursor& cursor, int cut, int total_windows, Step&& step) {
+  if (cursor.window >= cut) return;
+  step(cursor, cut);
+  while (cursor.spill && cursor.window < total_windows) step(cursor, cursor.window + 1);
+}
+
 class DatasetGenerator {
  public:
   DatasetGenerator(const World& world, DatasetConfig config);
@@ -58,6 +89,25 @@ class DatasetGenerator {
   /// the scalar path's, column-for-field.
   void generate_group_batched(const UserGroupProfile& group, SessionBatch& batch,
                               const WindowBatchSink& sink) const;
+
+  /// The cursor at the start of `group`'s study span (window 0).
+  GroupCursor group_cursor(const UserGroupProfile& group) const;
+
+  /// Windows in the study span (days * 96).
+  int total_windows() const { return config_.days * 96; }
+
+  /// generate_group_batched for windows [cursor.window, end) only: fills
+  /// and sinks one batch per non-empty window and leaves `cursor` at `end`.
+  /// generate_group_batched is the whole-span case.
+  void generate_windows_batched(const UserGroupProfile& group, GroupCursor& cursor,
+                                int end, SessionBatch& batch,
+                                const WindowBatchSink& sink) const;
+
+  /// Advances `cursor` to window `end` by consuming exactly the draws
+  /// generate_windows_batched would, count-only: it keeps the Poisson
+  /// counts, start draws (for `spill`) and the outcomes that decide how
+  /// many draws follow, and runs no session simulation.
+  void skip_windows(const UserGroupProfile& group, GroupCursor& cursor, int end) const;
 
   /// Emits all groups, one at a time.
   void generate(const SessionSink& sink) const;
@@ -90,6 +140,12 @@ class DatasetGenerator {
   void run_session_emit(const UserGroupProfile& group, const SessionSpec& spec,
                         int route_index, SimTime start, Rng& rng,
                         Emitter& emit) const;
+
+  /// Count-only twin of run_session_emit's draws (see skip_windows).
+  void skip_session_draws(const UserGroupProfile& group, Rng& rng) const;
+
+  /// Poisson mean of window `w`'s session count.
+  double window_mean(const UserGroupProfile& group, int w) const;
 
   const World& world_;
   DatasetConfig config_;

@@ -309,4 +309,12 @@ BitsPerSecond draw_client_rate(const UserGroupProfile& group, Rng& rng) {
   return std::clamp(rate, 2.6, 500.0) * kMbps;
 }
 
+void skip_client_rate(const UserGroupProfile& group, Rng& rng) {
+  if (rng.bernoulli(group.non_hd_fraction)) {
+    rng();
+    return;
+  }
+  rng.skip_normal();
+}
+
 }  // namespace fbedge

@@ -118,7 +118,7 @@ World build_world(const WorldConfig& config);
 
 /// Instantaneous path conditions for `group` via route `route_index` at
 /// absolute time `t`, for a client with access rate `client_rate`.
-/// `rng` supplies the per-session jitter of the RTT draw.
+/// Draws nothing: a session's draws never depend on its path.
 PathConditions path_conditions(const UserGroupProfile& group, int route_index, SimTime t,
                                BitsPerSecond client_rate);
 
@@ -129,5 +129,9 @@ bool in_peak_hours(const UserGroupProfile& group, SimTime t);
 /// clients get 0.3-2.2 Mbps, HD-capable clients a heavy-tailed broadband
 /// rate (median ~12 Mbps).
 BitsPerSecond draw_client_rate(const UserGroupProfile& group, Rng& rng);
+
+/// Count-only twin of draw_client_rate: consumes the same draws without
+/// computing the rate (keep the two in step).
+void skip_client_rate(const UserGroupProfile& group, Rng& rng);
 
 }  // namespace fbedge

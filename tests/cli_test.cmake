@@ -1,8 +1,11 @@
 # Runs the tools on rejected input and requires each exact exit status:
 # 2 for a bad numeric flag (util/cli.h), 1 for fbedge_analyze input that
 # holds no session. Invoked by ctest (tests/CMakeLists.txt) as
-#   cmake -DMONITOR=... -DANALYZE=... -DBENCH=... -DWHATIF=... -DWORK_DIR=...
+#   cmake -DMONITOR=... -DANALYZE=... -DBENCH=... -DWHATIF=... -DGEN=...
+#         -DSCALE=... -DFIDELITY=... -DINGRESS=... -DWORK_DIR=...
 #         -P cli_test.cmake
+# Every base command line is valid and small, so a flag that is not
+# rejected runs (and exits 0) instead of failing for another reason.
 set(failures 0)
 
 function(expect_exit code)
@@ -41,6 +44,34 @@ foreach(flag
 endforeach()
 expect_exit(2 ${WHATIF} 0 --days 1)
 expect_exit(2 ${WHATIF} 3x --days 1)
+
+foreach(flag
+    "--groups;0" "--groups;x" "--days;0" "--days;1.5" "--scale;-1"
+    "--scale;abc" "--seed;-1" "--seed;12x" "--threads;-3" "--threads;abc")
+  expect_exit(2 ${GEN} --groups 1 --days 1 --scale 0.01
+              --out ${WORK_DIR}/cli_test_gen.txt ${flag})
+endforeach()
+
+foreach(flag
+    "--days;0" "--workers;-1" "--workers;x" "--threads;-1" "--threads;2.5"
+    "--worker-threads;-1" "--max-attempts;0" "--worker-crash-rate;2"
+    "--worker-crash-rate;nan" "--fault-seed;x" "--sweep;1,x" "--sweep;1,,2"
+    "--sweep;" "--shard-worker;1" "--shard-worker;2/2" "--shard-worker;a/2"
+    "--shard-worker;-1/2" "--attempt;-1" "--attempt;z")
+  expect_exit(2 ${SCALE} 1 --days 1 --workers 0
+              --cache-dir ${WORK_DIR}/cli_test_scale ${flag})
+endforeach()
+expect_exit(2 ${SCALE} 0 --days 1 --workers 0)
+expect_exit(2 ${SCALE} 3x --days 1 --workers 0)
+
+foreach(arg "0" "abc" "5x" "-1")
+  expect_exit(2 ${FIDELITY} ${arg})
+endforeach()
+expect_exit(2 ${FIDELITY} 10 20)
+foreach(arg "0" "abc" "-5" "2.5")
+  expect_exit(2 ${INGRESS} ${arg})
+endforeach()
+expect_exit(2 ${INGRESS} 10 20)
 
 file(WRITE ${WORK_DIR}/cli_test_empty.txt "")
 file(WRITE ${WORK_DIR}/cli_test_garbage.txt "not a sample\n1 2 3\n\n%%%\n")

@@ -1002,5 +1002,131 @@ TEST(ScenarioSweep, ReduceAllMatchesPerReducerRangesWithColdFallback) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Split cold ingest: a flash-crowded group bigger than its fair share of
+// the pass's known-cold sessions runs as one task per day of windows.
+// ---------------------------------------------------------------------------
+
+// Three days, so a split group has three chunks (two count-only skips).
+WorldConfig split_world() {
+  WorldConfig wc = small_world();
+  wc.days = 3;
+  return wc;
+}
+
+DatasetConfig split_dataset() {
+  DatasetConfig dc = small_dataset();
+  dc.days = 3;
+  dc.session_scale = 0.05;
+  return dc;
+}
+
+// An 8x flash crowd on a country with exactly one group: that group is the
+// sweep pass's only known-cold slot, so it exceeds its fair share at any
+// thread count above one.
+ScenarioPack lone_flash_pack(const World& world) {
+  for (const auto& group : world.groups) {
+    const auto same_country = [&](const UserGroupProfile& g) {
+      return g.key.country.value == group.key.country.value;
+    };
+    if (std::count_if(world.groups.begin(), world.groups.end(), same_country) != 1) {
+      continue;
+    }
+    ScenarioPack pack;
+    pack.seed = 42;
+    FlashCrowdDelta flash;
+    flash.country = group.key.country.value;
+    flash.multiplier = 8.0;
+    flash.jitter = 0.15;
+    pack.flash_crowds.push_back(flash);
+    return pack;
+  }
+  ADD_FAILURE() << "no single-group country in the split world";
+  return {};
+}
+
+TEST(ScenarioSplit, SplitSweepMatchesIndependentRunsAtAnyThreadCount) {
+  const World world = build_world(split_world());
+  const DatasetConfig dc = split_dataset();
+  const std::size_t n = world.groups.size();
+  const std::vector<ScenarioPack> packs{lone_flash_pack(world), ScenarioPack{}};
+  ASSERT_EQ(affected_groups(world, packs[0]).size(), 1u);
+
+  std::vector<std::uint64_t> want;
+  for (const auto& pack : packs) {
+    want.push_back(whatif_report(run_edge_analysis(world, dc, {}, {}, {}, threads(1),
+                                                   nullptr, {}, {}, pack))
+                       .verdict_hash);
+  }
+  // The baseline reduce and the pass: one task per slot, plus two more
+  // tasks for the split group's three day chunks.
+  const std::uint64_t whole_tasks = n * (1 + packs.size());
+  for (const int t : {1, 2, 3, 4}) {
+    RunStats stats;
+    const SweepOutcome outcome =
+        run_scenario_sweep(world, dc, {}, {}, {}, packs, threads(t), &stats);
+    for (std::size_t k = 0; k < packs.size(); ++k) {
+      EXPECT_EQ(whatif_report(outcome.scenarios[k].result).verdict_hash, want[k])
+          << "pack " << k << " at " << t << " threads";
+    }
+    EXPECT_EQ(stats.tasks, whole_tasks + (t > 1 ? 2 : 0)) << t << " threads";
+  }
+}
+
+// With fleet blobs the sweep passes no cold hint, so a split-eligible
+// group is not split; its truncated blob falls back to a whole-group cold
+// ingest with the same verdict.
+TEST(ScenarioSplit, TruncatedFleetBlobOfASplitEligibleGroupFallsBack) {
+  const World world = build_world(split_world());
+  const DatasetConfig dc = split_dataset();
+  const std::size_t n = world.groups.size();
+  const std::vector<ScenarioPack> packs{lone_flash_pack(world)};
+  const std::uint64_t want =
+      whatif_report(run_edge_analysis(world, dc, {}, {}, {}, threads(1), nullptr,
+                                      {}, {}, packs[0]))
+          .verdict_hash;
+  const SweepAffectedBlobFn truncated =
+      [&](std::size_t, const ScenarioPack&, const World& perturbed,
+          const std::vector<std::size_t>& affected, std::vector<std::string>& blobs) {
+        blobs.assign(affected.size(), std::string());
+        std::size_t at = 0;
+        ingest_groups_to_blobs(perturbed, dc, {}, affected, threads(1),
+                               [&](std::size_t, std::string&& blob) {
+                                 blob.resize(blob.size() - 1);
+                                 blobs[at++] = std::move(blob);
+                               });
+        return true;
+      };
+  for (const int t : {2, 4}) {
+    RunStats stats;
+    const SweepOutcome outcome = run_scenario_sweep(world, dc, {}, {}, {}, packs,
+                                                    threads(t), &stats, {}, {}, truncated);
+    EXPECT_EQ(whatif_report(outcome.scenarios[0].result).verdict_hash, want)
+        << t << " threads";
+    EXPECT_EQ(stats.tasks, n * 2) << t << " threads";
+  }
+}
+
+// Faulted plans never split: a faulted sweep runs independent whole-group
+// runs, whose verdicts match run_edge_analysis under the same plan.
+TEST(ScenarioSplit, FaultedSweepNeverSplits) {
+  const World world = build_world(split_world());
+  const DatasetConfig dc = split_dataset();
+  const std::size_t n = world.groups.size();
+  const std::vector<ScenarioPack> packs{lone_flash_pack(world)};
+  FaultPlan faults;
+  faults.seed = 5;
+  faults.window_drop_rate = 0.05;  // agg-only: ingest stays on the batched path
+  const std::uint64_t want =
+      whatif_report(run_edge_analysis(world, dc, {}, {}, {}, threads(1), nullptr,
+                                      faults, {}, packs[0]))
+          .verdict_hash;
+  RunStats stats;
+  const SweepOutcome outcome =
+      run_scenario_sweep(world, dc, {}, {}, {}, packs, threads(4), &stats, faults);
+  EXPECT_EQ(whatif_report(outcome.scenarios[0].result).verdict_hash, want);
+  EXPECT_EQ(stats.tasks, n * 2);
+}
+
 }  // namespace
 }  // namespace fbedge

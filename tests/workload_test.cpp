@@ -3,11 +3,18 @@
 // session generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "routing/policy.h"
 #include "sampler/coalescer.h"
+#include "scenario/scenario.h"
+#include "util/binio.h"
 #include "workload/distributions.h"
 #include "workload/generator.h"
 #include "workload/world.h"
@@ -374,6 +381,179 @@ TEST_F(GeneratorTest, HostingSessionsAppearAtConfiguredRate) {
   });
   ASSERT_GT(total, 500);
   EXPECT_NEAR(hosting / double(total), 0.1, 0.03);
+}
+
+// ---------------------------------------------------------------------------
+// Group cursors: the count-only skip and chunked generation.
+// ---------------------------------------------------------------------------
+
+/// Every column of row `i` and every one of its writes, bit for bit.
+std::uint64_t row_digest(const SessionBatch& b, std::size_t i) {
+  Fnv64 h;
+  h.u64(b.id[i].value);
+  h.u32(b.client_ip[i]);
+  h.u8(b.hosting[i]);
+  h.u8(static_cast<std::uint8_t>(b.version[i]));
+  h.u8(static_cast<std::uint8_t>(b.endpoint[i]));
+  h.f64(b.established_at[i]);
+  h.f64(b.duration[i]);
+  h.f64(b.busy_time[i]);
+  h.i64(b.total_bytes[i]);
+  h.i64(b.num_transactions[i]);
+  h.i64(b.route_index[i]);
+  h.f64(b.min_rtt[i]);
+  for (std::uint32_t k = 0; k < b.write_count[i]; ++k) {
+    const ResponseWrite& w = b.writes[b.write_offset[i] + k];
+    h.i64(w.bytes);
+    h.i64(w.wnic);
+    h.f64(w.first_byte_nic);
+    h.f64(w.last_byte_nic);
+    h.f64(w.second_last_ack);
+    h.f64(w.last_ack);
+    h.i64(w.last_packet_bytes);
+    h.u8(static_cast<std::uint8_t>(w.preempted));
+    h.u8(static_cast<std::uint8_t>(w.multiplexed));
+  }
+  return h.value();
+}
+
+/// Generates `group` whole, then chunk by chunk at `stride` from cursors
+/// the count-only skip computes, and checks that (1) the skipped cursor
+/// equals the generated one at every cut and at the span's end, (2) the
+/// chunked rows are bitwise the whole-group rows, (3) every row of chunk k
+/// lands in chunk k's windows, and (4) each cut sits at its stride
+/// multiple unless the window before it spilled a row across.
+void check_chunked_generation(const DatasetGenerator& gen, const UserGroupProfile& group,
+                              int stride) {
+  const int total = gen.total_windows();
+  SessionBatch batch;
+  std::vector<std::uint64_t> whole;
+  std::vector<std::uint8_t> spilled(static_cast<std::size_t>(total), 0);
+  GroupCursor generated = gen.group_cursor(group);
+  gen.generate_windows_batched(group, generated, total, batch,
+                               [&](int w, const SessionBatch& b) {
+                                 for (std::size_t i = 0; i < b.size(); ++i) {
+                                   whole.push_back(row_digest(b, i));
+                                   if (window_index(b.established_at[i]) != w) {
+                                     spilled[static_cast<std::size_t>(w)] = 1;
+                                   }
+                                 }
+                               });
+  ASSERT_FALSE(whole.empty());
+  GroupCursor skipped = gen.group_cursor(group);
+  gen.skip_windows(group, skipped, total);
+  EXPECT_TRUE(skipped == generated) << "whole-span skip";
+  EXPECT_EQ(skipped.window, total);
+
+  const auto skip = [&](GroupCursor& c, int end) { gen.skip_windows(group, c, end); };
+  std::vector<std::uint64_t> chunked;
+  GroupCursor chain = gen.group_cursor(group);  // the skip chain of chunk starts
+  int cut = 0;
+  for (int k = 0; k * stride < total; ++k) {
+    ASSERT_EQ(chain.window, cut) << "chunk " << k;
+    const int nominal = std::min((k + 1) * stride, total);
+    int lo = total + 1;
+    int hi = -1;
+    GroupCursor c = chain;
+    advance_to_cut(c, nominal, total, [&](GroupCursor& cur, int end) {
+      gen.generate_windows_batched(group, cur, end, batch,
+                                   [&](int, const SessionBatch& b) {
+                                     for (std::size_t i = 0; i < b.size(); ++i) {
+                                       chunked.push_back(row_digest(b, i));
+                                       lo = std::min(lo, window_index(b.established_at[i]));
+                                       hi = std::max(hi, window_index(b.established_at[i]));
+                                     }
+                                   });
+    });
+    advance_to_cut(chain, nominal, total, skip);
+    EXPECT_TRUE(chain == c) << "skip and generation disagree at chunk " << k;
+    const int next = c.window;
+    // The cut rule, stated on the whole run's spills.
+    int want = std::max(cut, nominal);
+    while (want < total && spilled[static_cast<std::size_t>(want - 1)]) ++want;
+    EXPECT_EQ(next, want) << "chunk " << k;
+    if (hi >= 0) {
+      EXPECT_GE(lo, cut) << "chunk " << k;
+      // Only the last chunk may hold the row a final-window spill puts
+      // past the span.
+      EXPECT_LT(hi, next == total ? total + 1 : next) << "chunk " << k;
+    }
+    cut = next;
+  }
+  EXPECT_EQ(cut, total);
+  EXPECT_TRUE(chain == generated);
+  EXPECT_EQ(chunked, whole);
+}
+
+std::vector<ScenarioPack> fixture_packs() {
+  std::vector<ScenarioPack> packs;
+  for (const char* name : {"drain-eu-peak.conf", "depref-3356-flash.conf",
+                           "cable-cut-eu-af.conf"}) {
+    std::ifstream file(std::string(FBEDGE_TEST_DATA_DIR) + "/scenarios/" + name);
+    std::ostringstream text;
+    text << file.rdbuf();
+    ScenarioParseResult parsed = parse_scenario(text.str());
+    EXPECT_TRUE(parsed.ok) << name << ": " << parsed.error;
+    packs.push_back(std::move(parsed.pack));
+  }
+  return packs;
+}
+
+// Every group of a 2-groups-per-continent world and of each scenario
+// fixture's perturbed world, at 20 session seeds, chunked at an odd
+// stride so cuts fall off day boundaries.
+TEST(GroupCursor, SkipAndChunksReplayWholeGroupGeneration) {
+  const World base = build_world({.seed = 2019, .groups_per_continent = 2, .days = 2});
+  std::vector<World> worlds{base};
+  for (const ScenarioPack& pack : fixture_packs()) {
+    validate_scenario(base, pack);
+    worlds.push_back(apply_scenario(base, pack));
+  }
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    DatasetConfig dc;
+    dc.seed = seed;
+    dc.days = 2;
+    dc.session_scale = 0.01;
+    for (std::size_t wi = 0; wi < worlds.size(); ++wi) {
+      const DatasetGenerator gen(worlds[wi], dc);
+      for (const UserGroupProfile& group : worlds[wi].groups) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " world " << wi
+                                          << " prefix " << group.key.prefix.addr);
+        check_chunked_generation(gen, group, 37);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+// A start draw that rounds up to the next window is too rare to meet in
+// generated data, so the cut rule's spill path runs on a scripted step.
+TEST(GroupCursor, CutsMovePastSpillingWindowsOnly) {
+  const std::set<int> spills{9, 10, 19, 29};
+  int steps = 0;
+  const auto step = [&](GroupCursor& c, int end) {
+    ++steps;
+    for (; c.window < end; ++c.window) c.spill = spills.count(c.window) != 0;
+  };
+  const int total = 31;
+  std::vector<int> cuts;
+  GroupCursor c;
+  for (int k = 1; (k - 1) * 10 < total; ++k) {
+    advance_to_cut(c, std::min(k * 10, total), total, step);
+    cuts.push_back(c.window);
+  }
+  // Windows 9 and 10 spill, so the cut at 10 moves past both to 12; 19
+  // spills, so 20 moves to 21; 29 spills, so 30 moves to 31, the span's
+  // end, which is also the last chunk's end (an empty chunk).
+  EXPECT_EQ(cuts, (std::vector<int>{12, 21, 31, 31}));
+
+  // A cursor at or past the cut stays put: that chunk is empty.
+  GroupCursor at;
+  at.window = 12;
+  steps = 0;
+  advance_to_cut(at, 10, total, step);
+  EXPECT_EQ(at.window, 12);
+  EXPECT_EQ(steps, 0);
 }
 
 }  // namespace

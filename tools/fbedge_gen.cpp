@@ -7,13 +7,15 @@
 // Usage: fbedge_gen [--groups N] [--days D] [--scale S] [--seed X]
 //                   [--threads T] [--out FILE]
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "fbedge/fbedge.h"
+#include "util/cli.h"
 
 using namespace fbedge;
 
@@ -28,37 +30,48 @@ struct Options {
   std::string out;
 };
 
-bool parse_args(int argc, char** argv, Options& opts) {
+[[noreturn]] void usage() {
+  std::fprintf(stderr,
+               "usage: fbedge_gen [--groups N] [--days D] [--scale S] "
+               "[--seed X] [--threads T] [--out FILE]\n");
+  std::exit(2);
+}
+
+Options parse_args(int argc, char** argv) {
+  Options opts;
+  const auto bad = [] { usage(); };
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    auto next = [&]() -> const char* {
+      if (i + 1 >= argc) usage();
+      return argv[++i];
+    };
     if (arg == "--groups") {
-      if (const char* v = next()) opts.groups_per_continent = std::atoi(v);
+      opts.groups_per_continent = cli::flag_value("--groups", next(), 1, kMaxInt, bad);
     } else if (arg == "--days") {
-      if (const char* v = next()) opts.days = std::atoi(v);
+      opts.days = cli::flag_value("--days", next(), 1, kMaxInt, bad);
     } else if (arg == "--scale") {
-      if (const char* v = next()) opts.scale = std::atof(v);
+      opts.scale = cli::flag_value("--scale", next(), 0.0,
+                                   std::numeric_limits<double>::max(), bad);
     } else if (arg == "--seed") {
-      if (const char* v = next()) opts.seed = std::strtoull(v, nullptr, 10);
+      opts.seed = static_cast<std::uint64_t>(cli::flag_value(
+          "--seed", next(), 0LL, std::numeric_limits<long long>::max(), bad));
     } else if (arg == "--threads") {
-      if (const char* v = next()) opts.threads = std::atoi(v);
+      opts.threads = cli::flag_value("--threads", next(), 0, kMaxInt, bad);
     } else if (arg == "--out") {
-      if (const char* v = next()) opts.out = v;
+      opts.out = next();
     } else {
-      std::fprintf(stderr,
-                   "usage: fbedge_gen [--groups N] [--days D] [--scale S] "
-                   "[--seed X] [--threads T] [--out FILE]\n");
-      return false;
+      usage();
     }
   }
-  return true;
+  return opts;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opts;
-  if (!parse_args(argc, argv, opts)) return 2;
+  const Options opts = parse_args(argc, argv);
 
   WorldConfig wc;
   wc.seed = opts.seed;

@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,7 @@
 #include "distrib/shard_manifest.h"
 #include "distrib/subprocess.h"
 #include "util/binio.h"
+#include "util/cli.h"
 
 using namespace fbedge;
 
@@ -82,6 +84,8 @@ struct ScaleCli {
 ScaleCli parse_cli(int argc, char** argv) {
   ScaleCli cli;
   if (const char* env = std::getenv("FBEDGE_CACHE_DIR")) cli.cache_dir = env;
+  const auto bad = [&] { usage(argv[0]); };
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -89,19 +93,20 @@ ScaleCli parse_cli(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--days") {
-      cli.days = std::atoi(next());
+      cli.days = cli::flag_value("--days", next(), 1, kMaxInt, bad);
     } else if (arg == "--workers") {
-      cli.workers = std::atoi(next());
+      cli.workers = cli::flag_value("--workers", next(), 0, kMaxInt, bad);
     } else if (arg == "--threads") {
-      cli.threads = std::atoi(next());
+      cli.threads = cli::flag_value("--threads", next(), 0, kMaxInt, bad);
     } else if (arg == "--worker-threads") {
-      cli.worker_threads = std::atoi(next());
+      cli.worker_threads = cli::flag_value("--worker-threads", next(), 0, kMaxInt, bad);
     } else if (arg == "--max-attempts") {
-      cli.max_attempts = std::atoi(next());
+      cli.max_attempts = cli::flag_value("--max-attempts", next(), 1, kMaxInt, bad);
     } else if (arg == "--worker-crash-rate") {
-      cli.worker_crash_rate = std::atof(next());
+      cli.worker_crash_rate = cli::flag_value("--worker-crash-rate", next(), 0.0, 1.0, bad);
     } else if (arg == "--fault-seed") {
-      cli.fault_seed = std::strtoull(next(), nullptr, 10);
+      cli.fault_seed = static_cast<std::uint64_t>(cli::flag_value(
+          "--fault-seed", next(), 0LL, std::numeric_limits<long long>::max(), bad));
     } else if (arg == "--in-process") {
       cli.in_process = true;
     } else if (arg == "--cache-dir") {
@@ -109,32 +114,29 @@ ScaleCli parse_cli(int argc, char** argv) {
     } else if (arg == "--json") {
       cli.json_path = next();
     } else if (arg == "--sweep") {
-      const char* list = next();
-      int value = 0;
-      bool have = false;
-      for (const char* p = list;; ++p) {
-        if (*p >= '0' && *p <= '9') {
-          value = value * 10 + (*p - '0');
-          have = true;
-        } else if (*p == ',' || *p == '\0') {
-          if (have) cli.sweep.push_back(value);
-          value = 0;
-          have = false;
-          if (*p == '\0') break;
-        } else {
-          usage(argv[0]);
-        }
+      // Comma-separated worker counts; every item must be a whole number.
+      std::string list = next();
+      for (std::size_t at = 0;;) {
+        const std::size_t comma = list.find(',', at);
+        const std::string item = list.substr(at, comma - at);
+        cli.sweep.push_back(cli::flag_value("--sweep", item.c_str(), 0, kMaxInt, bad));
+        if (comma == std::string::npos) break;
+        at = comma + 1;
       }
     } else if (arg == "--shard-worker") {
-      const char* spec = next();
-      if (std::sscanf(spec, "%d/%d", &cli.worker_shard, &cli.worker_count) != 2) {
-        usage(argv[0]);
-      }
+      // Hidden worker mode: "--shard-worker S/N" = shard S of N, 0 <= S < N.
+      const std::string spec = next();
+      const std::size_t slash = spec.find('/');
+      if (slash == std::string::npos) bad();
+      cli.worker_count = cli::flag_value("--shard-worker", spec.substr(slash + 1).c_str(),
+                                         1, kMaxInt, bad);
+      cli.worker_shard = cli::flag_value("--shard-worker", spec.substr(0, slash).c_str(),
+                                         0, cli.worker_count - 1, bad);
       cli.worker_mode = true;
     } else if (arg == "--attempt") {
-      cli.worker_attempt = std::atoi(next());
+      cli.worker_attempt = cli::flag_value("--attempt", next(), 0, kMaxInt, bad);
     } else if (!arg.empty() && arg[0] != '-') {
-      cli.groups_per_continent = std::atoi(arg.c_str());
+      cli.groups_per_continent = cli::flag_value("groups", argv[i], 1, kMaxInt, bad);
     } else {
       usage(argv[0]);
     }
