@@ -235,8 +235,8 @@ int main(int argc, char** argv) {
   reduce_dc.days = 1;
   reduce_dc.session_scale = 0.1;
   std::vector<std::string> group_blobs(reduce_world.groups.size());
-  ingest_range_to_blobs(
-      reduce_world, reduce_dc, {}, ShardRange{0, reduce_world.groups.size()},
+  ingest_groups_to_blobs(
+      reduce_world, reduce_dc, {}, ShardRange{0, reduce_world.groups.size()}.ids(),
       RuntimeOptions::sequential(),
       [&](std::size_t g, std::string&& blob) { group_blobs[g] = std::move(blob); });
   const double reduce_fold_ns =

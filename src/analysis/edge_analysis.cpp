@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "analysis/edge_reduce.h"
@@ -139,11 +138,11 @@ void make_observations_into(const WindowColumns& cols,
   }
 }
 
-/// Per-worker scratch for analyze_group: every buffer here is cleared (not
-/// shrunk) per group/window, so after each arena reaches its high-water
-/// mark the whole generate -> coalesce -> HD -> aggregate loop runs without
-/// per-session allocations. One instance per pool worker
-/// (shard_map_reduce_scratch); results are independent of which worker's
+/// Per-worker scratch for the reduce pass's tasks: every buffer here is
+/// cleared (not shrunk) per group/window, so after each arena reaches its
+/// high-water mark the whole generate -> coalesce -> HD -> aggregate loop
+/// runs without per-session allocations. One instance per pool worker
+/// (parallel_for_scratch); results are independent of which worker's
 /// scratch served a group because every field is rebuilt before use.
 struct EdgeScratch {
   SessionBatch batch;
@@ -608,20 +607,6 @@ void analyze_series_into(EdgeScratch& scratch, const GroupSeries& series,
   }
 }
 
-EdgePartial analyze_group(EdgeScratch& scratch, const DatasetGenerator& generator,
-                          const UserGroupProfile& group,
-                          const AnalysisThresholds& thresholds,
-                          const ComparisonConfig& comparison,
-                          const GoodputConfig& goodput,
-                          const ClassifierConfig& classifier_config,
-                          const FaultPlan& faults) {
-  EdgePartial part;
-  ingest_group(scratch, generator, group, goodput, faults, part.res.faults);
-  analyze_series_into(scratch, scratch.series, group, thresholds, comparison,
-                      classifier_config, part);
-  return part;
-}
-
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
@@ -639,7 +624,7 @@ ClassifierConfig make_classifier_config(const DatasetConfig& config) {
 }
 
 /// The final normalizations: raw merged sums -> the fractions the paper
-/// reports. One implementation for every reduce path (in-process, failable,
+/// reports. One implementation for every reduce path (in-process or
 /// artifact-driven), so a distributed run cannot drift from a local one.
 EdgeAnalysisResult finalize_edge_result(EdgePartial&& total) {
   EdgeAnalysisResult out = std::move(total.res);
@@ -712,7 +697,10 @@ struct EdgeReducer::Impl {
         goodput(goodput_in),
         faults(faults_in),
         classifier_config(make_classifier_config(config_in)),
-        generator(world_in, config) {}
+        generator(world_in, config) {
+    FBEDGE_EXPECT(!faults.runtime_faults() || faults.task_max_attempts >= 1,
+                  "task aborts need at least one attempt per group");
+  }
 };
 
 EdgeReducer::EdgeReducer(const World& world, const DatasetConfig& config,
@@ -786,11 +774,12 @@ void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
   std::vector<SplitIngest> splits(split_chunks.size());
   for (std::size_t i = 0; i < splits.size(); ++i) splits[i].start(split_chunks[i]);
 
-  // Partials and blob flags are per slot, each written by exactly one task
-  // (a split slot's by its last chunk), so nothing depends on the order
-  // tasks finish in.
+  // Partials, blob flags and aborted-attempt counts are per slot, each
+  // written by exactly one task (a split slot's by its last chunk), so
+  // nothing depends on the order tasks finish in.
   std::vector<EdgePartial> partials(slots.size());
   std::vector<std::uint8_t> from_blob(slots.size(), 0);
+  std::vector<int> aborted(slots.size(), 0);
   parallel_for_scratch<EdgeScratch>(
       tasks.size(), runtime,
       [&](EdgeScratch& scratch, std::size_t t) {
@@ -800,6 +789,19 @@ void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
         const std::size_t g = slot.group;
         const UserGroupProfile& group = im.world.groups[g];
         EdgePartial& part = partials[tasks[t].slot];
+        if (im.faults.runtime_faults()) {
+          // Task aborts: pure in (plan, group, attempt), so which groups are
+          // lost does not depend on the schedule. An aborted attempt does no
+          // work; a slot whose every attempt aborts is lost. Faulted
+          // reducers never split, so this is the slot's only task.
+          int& attempt = aborted[tasks[t].slot];
+          const std::uint64_t key = group_fault_key(group.key);
+          while (attempt < im.faults.task_max_attempts &&
+                 task_abort_decision(im.faults, key, attempt)) {
+            ++attempt;
+          }
+          if (attempt == im.faults.task_max_attempts) return;
+        }
         // A cold-ingested series in scratch.series: save, then analyze.
         const auto finish_cold = [&] {
           if (job.save != nullptr && *job.save) {
@@ -837,9 +839,21 @@ void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
       },
       stats);
   // The determinism rule: every reducer folds its own partials in
-  // ascending group-id order, always.
+  // ascending group-id order, always. A lost slot folds only its abort
+  // counters. Those three are the only fault counters `stats` gets; the
+  // sampler and agg counters stay in the result.
   for (std::size_t s = 0; s < slots.size(); ++s) {
     Impl& im = *jobs[slots[s].job].reducer->impl_;
+    if (aborted[s] > 0) {
+      const bool lost = aborted[s] == im.faults.task_max_attempts;
+      FaultCounters abort_counts;
+      abort_counts.task_aborts = static_cast<std::uint64_t>(aborted[s]);
+      abort_counts.task_retries = static_cast<std::uint64_t>(aborted[s] - lost);
+      abort_counts.lost_groups = lost;
+      im.total.res.faults.accumulate(abort_counts);
+      if (stats) stats->faults.accumulate(abort_counts);
+      if (lost) continue;
+    }
     im.total.merge(partials[s]);
     im.blob_groups += from_blob[s];
   }
@@ -849,33 +863,6 @@ std::uint64_t EdgeReducer::blob_groups() const { return impl_->blob_groups; }
 
 EdgeAnalysisResult EdgeReducer::finish() {
   return finalize_edge_result(std::move(impl_->total));
-}
-
-void ingest_range_to_blobs(
-    const World& world, const DatasetConfig& config, GoodputConfig goodput,
-    const ShardRange& range, const RuntimeOptions& runtime,
-    const std::function<void(std::size_t group, std::string&& blob)>& sink,
-    RunStats* stats, std::size_t chunk_groups) {
-  FBEDGE_EXPECT(range.end <= world.groups.size(),
-                "ingest range exceeds the world's group count");
-  FBEDGE_EXPECT(chunk_groups >= 1, "ingest chunk must hold at least one group");
-  DatasetGenerator generator(world, config);
-  const FaultPlan no_faults;
-  for (std::size_t at = range.begin; at < range.end; at += chunk_groups) {
-    const std::size_t n = std::min(chunk_groups, range.end - at);
-    auto blobs = parallel_map_scratch<EdgeScratch>(
-        n, runtime,
-        [&](EdgeScratch& scratch, std::size_t i) {
-          FaultCounters none;
-          ingest_group(scratch, generator, world.groups[at + i], goodput,
-                       no_faults, none);
-          scratch.writer.clear();
-          save_group_series(scratch.series, scratch.writer);
-          return std::string(scratch.writer.data());
-        },
-        stats);
-    for (std::size_t i = 0; i < n; ++i) sink(at + i, std::move(blobs[i]));
-  }
 }
 
 void ingest_groups_to_blobs(
@@ -946,78 +933,49 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
     if (stats) stats->cache_load_seconds += seconds_since(t0);
   }
 
-  if (!faults.runtime_faults()) {
-    // One EdgeReducer pass over [0, n): per-worker EdgeScratch arenas
-    // persist across every group a worker processes, and partials fold in
-    // group-id order — the result does not depend on the thread count.
-    //
-    // Cache plumbing rides the same schedule: on a warm run each group
-    // deserializes its blob instead of ingesting (falling back to cold
-    // ingest if its blob is structurally invalid); on a cold cache-enabled
-    // run each group additionally serializes its series into `blobs[g]`
-    // (each slot written by exactly one task). Neither introduces any
-    // cross-thread order dependence — warm, cold, and uncached runs stay
-    // byte-identical.
-    EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
-    EdgeReducer::BlobFn blob_fn;
-    if (warm) {
-      blob_fn = [&artifact](std::size_t g) {
-        const auto [offset, length] = artifact.blobs[g];
-        return GroupBlobRef{artifact.bytes.data() + offset, length};
-      };
-    }
-    std::vector<std::string> blobs;
-    EdgeReducer::SaveFn save_fn;
-    if (use_cache && !warm) {
-      blobs.resize(group_count);
-      save_fn = [&blobs](std::size_t g, std::string&& blob) {
-        blobs[g] = std::move(blob);
-      };
-    }
-    reducer.reduce_range(ShardRange{0, group_count}, blob_fn, runtime, stats,
-                         save_fn ? &save_fn : nullptr);
-    if (use_cache && stats) {
-      const std::uint64_t hits = reducer.blob_groups();
-      stats->cache_hits += hits;
-      stats->cache_misses += static_cast<std::uint64_t>(group_count) - hits;
-    }
-    if (use_cache && !warm) {
-      const auto t0 = std::chrono::steady_clock::now();
-      write_ingest_artifact(artifact_path, cache_key, blobs);
-      if (stats) stats->cache_save_seconds += seconds_since(t0);
-    }
-    return reducer.finish();
+  // One EdgeReducer pass over [0, n) for every fault plan: per-worker
+  // EdgeScratch arenas persist across every group a worker processes, and
+  // partials fold in group-id order — the result does not depend on the
+  // thread count. Task aborts, when the plan has them, are drawn inside
+  // the pass (EdgeReducer::reduce_all), so a lost group is a slot that
+  // folds nothing.
+  //
+  // Cache plumbing rides the same schedule: on a warm run each group
+  // deserializes its blob instead of ingesting (falling back to cold
+  // ingest if its blob is structurally invalid); on a cold cache-enabled
+  // run each group additionally serializes its series into `blobs[g]`
+  // (each slot written by exactly one task). Neither introduces any
+  // cross-thread order dependence — warm, cold, and uncached runs stay
+  // byte-identical.
+  EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
+  EdgeReducer::BlobFn blob_fn;
+  if (warm) {
+    blob_fn = [&artifact](std::size_t g) {
+      const auto [offset, length] = artifact.blobs[g];
+      return GroupBlobRef{artifact.bytes.data() + offset, length};
+    };
   }
-
-  // Shard tasks can abort; each group gets the plan's attempt budget and
-  // is skipped (reported as lost) when every attempt fails. The abort
-  // decision is a pure function of (plan, group, attempt), so which
-  // groups are lost — and hence the merged result — is identical for any
-  // thread count.
-  const ClassifierConfig classifier_config = make_classifier_config(config);
-  DatasetGenerator generator(world, config);
-  RunStats local;
-  EdgePartial total = shard_map_reduce_failable(
-      world, runtime,
-      RetryPolicy{faults.task_max_attempts, faults.task_backoff_seconds},
-      EdgePartial{},
-      [&](const UserGroupProfile& group, std::size_t,
-          int attempt) -> std::optional<EdgePartial> {
-        if (task_abort_decision(faults, group_fault_key(group.key), attempt)) {
-          return std::nullopt;
-        }
-        // Fault runs are not perf-critical; a per-attempt scratch keeps
-        // the failable path simple.
-        EdgeScratch scratch;
-        return analyze_group(scratch, generator, group, thresholds, comparison,
-                             goodput, classifier_config, faults);
-      },
-      [](EdgePartial& acc, EdgePartial&& part, std::size_t) { acc.merge(part); },
-      [](EdgePartial&, std::size_t) { /* lost group: contributes nothing */ },
-      &local);
-  total.res.faults.accumulate(local.faults);
-  if (stats) stats->accumulate(local);
-  return finalize_edge_result(std::move(total));
+  std::vector<std::string> blobs;
+  EdgeReducer::SaveFn save_fn;
+  if (use_cache && !warm) {
+    blobs.resize(group_count);
+    save_fn = [&blobs](std::size_t g, std::string&& blob) {
+      blobs[g] = std::move(blob);
+    };
+  }
+  reducer.reduce_range(ShardRange{0, group_count}, blob_fn, runtime, stats,
+                       save_fn ? &save_fn : nullptr);
+  if (use_cache && stats) {
+    const std::uint64_t hits = reducer.blob_groups();
+    stats->cache_hits += hits;
+    stats->cache_misses += static_cast<std::uint64_t>(group_count) - hits;
+  }
+  if (use_cache && !warm) {
+    const auto t0 = std::chrono::steady_clock::now();
+    write_ingest_artifact(artifact_path, cache_key, blobs);
+    if (stats) stats->cache_save_seconds += seconds_since(t0);
+  }
+  return reducer.finish();
 }
 
 }  // namespace fbedge

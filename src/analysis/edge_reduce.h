@@ -51,8 +51,12 @@ class EdgeReducer {
  public:
   /// `faults` drives the sampler/aggregation injection sites of any
   /// cold-ingest fallback (zeroed plan = fault-free path, byte-identical
-  /// to a build without faultsim). Runtime-layer faults (task aborts) are
-  /// not handled here — run_edge_analysis keeps its failable path.
+  /// to a build without faultsim) and the runtime layer's task aborts:
+  /// each group's task draws task_abort_decision for attempts 0, 1, ...
+  /// before any blob lookup or ingest, and a group whose every attempt
+  /// aborts is lost — its partial is never merged, and only its
+  /// task_aborts / task_retries / lost_groups reach the result's and the
+  /// RunStats' FaultCounters.
   EdgeReducer(const World& world, const DatasetConfig& config,
               const AnalysisThresholds& thresholds,
               const ComparisonConfig& comparison, GoodputConfig goodput,
@@ -125,28 +129,17 @@ class EdgeReducer {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The ingest half for one shard: generates sessions for groups
-/// [range.begin, range.end), serializes each group's series, and hands the
-/// blobs to `sink` in ascending group order on the calling thread. Work is
+/// The ingest half of a shard or sweep worker: generates sessions for
+/// exactly `groups` (ascending ids; a shard passes its ShardRange::ids()),
+/// serializes each group's series, and hands the blobs to `sink` in list
+/// order on the calling thread, each with its global group id. Work is
 /// chunked (`chunk_groups` per parallel batch) so at most one chunk of
-/// blobs is in memory at a time — per-process RSS stays flat in the range
-/// size, which is what lets a shard worker process thousands of groups in
-/// a small footprint. Ingest is fault-free (the distributed cache must
+/// blobs is in memory at a time — per-process RSS stays flat in the list
+/// size, which is what lets a worker process thousands of groups in a
+/// small footprint. Per-group ingest is seeded from the group key alone,
+/// so the blobs are identical to what a whole-world ingest would produce
+/// for those groups. Ingest is fault-free (the distributed cache must
 /// never hold faulted series).
-void ingest_range_to_blobs(
-    const World& world, const DatasetConfig& config, GoodputConfig goodput,
-    const ShardRange& range, const RuntimeOptions& runtime,
-    const std::function<void(std::size_t group, std::string&& blob)>& sink,
-    RunStats* stats = nullptr, std::size_t chunk_groups = 64);
-
-/// Group-list variant of ingest_range_to_blobs for the scenario-sweep
-/// workers: a sweep shard's work is a slice of the (usually
-/// non-contiguous) ascending affected-group list, not a contiguous range.
-/// Ingests exactly `groups` in list order, handing each blob to `sink`
-/// with its global group id; same chunked memory model as the range
-/// variant. Per-group ingest is seeded from the group key alone, so the
-/// blobs are identical to what a whole-world ingest would produce for
-/// those groups.
 void ingest_groups_to_blobs(
     const World& world, const DatasetConfig& config, GoodputConfig goodput,
     const std::vector<std::size_t>& groups, const RuntimeOptions& runtime,

@@ -110,8 +110,8 @@ int run_shard_worker(const World& world, const DatasetConfig& config,
   IngestArtifactWriter writer;
   if (!writer.open(artifact_path, want.artifact_key, range.size())) return 1;
   bool append_ok = true;
-  ingest_range_to_blobs(
-      world, config, goodput, range, runtime,
+  ingest_groups_to_blobs(
+      world, config, goodput, range.ids(), runtime,
       [&](std::size_t /*group*/, std::string&& blob) {
         if (!writer.append(blob)) append_ok = false;
       },

@@ -5,7 +5,7 @@
 // blocks, one per worker. Each worker — an OS process by default, an
 // in-process call in tests — ingests its block, streams the per-group
 // blobs into a shard ingest artifact (bounded memory: one chunk of groups
-// at a time, via ingest_range_to_blobs + IngestArtifactWriter), publishes
+// at a time, via ingest_groups_to_blobs + IngestArtifactWriter), publishes
 // the artifact atomically, and only then writes its shard manifest. The
 // coordinator retries crashed workers up to the fault plan's attempt
 // budget, then reduces shard by shard in shard order: load one shard's
@@ -95,8 +95,10 @@ struct ScaleOptions {
   /// Threads for the coordinator's reduce (and any cold-ingest fallback).
   RuntimeOptions reduce_runtime = RuntimeOptions::sequential();
   /// Fault plan; worker_crash_rate / worker_max_attempts drive the
-  /// spawn-retry loop. Sampler/agg rates must stay zero (the shared cache
-  /// must never hold faulted series; fbedge_scale enforces this at the CLI).
+  /// spawn-retry loop, and task_abort_rate / task_max_attempts act in the
+  /// reduce exactly as in run_edge_analysis (same groups lost). Sampler/agg
+  /// rates must stay zero (the shared cache must never hold faulted series;
+  /// fbedge_scale enforces this at the CLI).
   FaultPlan faults;
   /// Launches one worker attempt and blocks until it exits (the tool wires
   /// this to spawn_worker on its own binary in worker mode). Null = run the

@@ -69,12 +69,13 @@ struct FaultPlan {
   double stream_duplicate_rate{0};
 
   // ---- runtime layer (per (group, attempt)) ------------------------------
-  /// Shard task abort probability per attempt.
+  /// Shard task abort probability per attempt. EdgeReducer draws the
+  /// attempts of each group's task before it does any work; an aborted
+  /// attempt does none, and a group whose every attempt aborts is lost:
+  /// it drops out of every rollup, like a group without valid data.
   double task_abort_rate{0};
   /// Attempts per group before it is abandoned (>= 1).
   int task_max_attempts{3};
-  /// Base backoff between attempts (doubles per retry); 0 = no sleep.
-  double task_backoff_seconds{0};
 
   // ---- distrib layer (per (shard, attempt)) ------------------------------
   /// Probability that a shard worker process crashes on a given attempt —

@@ -24,6 +24,12 @@ struct ShardRange {
 
   std::size_t size() const { return end - begin; }
   bool empty() const { return begin >= end; }
+  /// The range's indices, ascending.
+  std::vector<std::size_t> ids() const {
+    std::vector<std::size_t> out(size());
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = begin + i;
+    return out;
+  }
 };
 
 /// A balanced block partition of [0, size) into K contiguous shards.

@@ -1,6 +1,5 @@
 #include "runtime/thread_pool.h"
 
-#include <atomic>
 #include <chrono>
 
 #include "runtime/alloc_counter.h"
@@ -177,41 +176,6 @@ RunStats ThreadPool::parallel_for_workers(const ShardPlan& plan, const WorkerTas
     rs.steals += st.steals;
     rs.cpu_seconds += st.busy_seconds;
   }
-  return rs;
-}
-
-RunStats ThreadPool::parallel_for_failable(const ShardPlan& plan,
-                                           const FailableTask& fn,
-                                           const RetryPolicy& policy,
-                                           std::vector<std::uint8_t>* failed) {
-  FBEDGE_EXPECT(policy.max_attempts >= 1, "retry policy needs at least one attempt");
-  if (failed) failed->assign(plan.size(), 0);
-  std::atomic<std::uint64_t> aborts{0};
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> lost{0};
-  // The retry loop runs inline on whichever worker popped the index, so
-  // each `failed` slot is written by exactly one thread and the pool's
-  // join provides the ordering for the caller's reads.
-  const Task wrapper = [&](std::size_t i) {
-    for (int attempt = 0;; ++attempt) {
-      if (fn(i, attempt)) return;
-      aborts.fetch_add(1, std::memory_order_relaxed);
-      if (attempt + 1 >= policy.max_attempts) {
-        lost.fetch_add(1, std::memory_order_relaxed);
-        if (failed) (*failed)[i] = 1;
-        return;
-      }
-      retries.fetch_add(1, std::memory_order_relaxed);
-      if (policy.backoff_seconds > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            policy.backoff_seconds * static_cast<double>(1u << attempt)));
-      }
-    }
-  };
-  RunStats rs = parallel_for(plan, wrapper);
-  rs.faults.task_aborts = aborts.load();
-  rs.faults.task_retries = retries.load();
-  rs.faults.lost_groups = lost.load();
   return rs;
 }
 

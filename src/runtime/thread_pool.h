@@ -29,15 +29,6 @@ namespace fbedge {
 /// default in RuntimeOptions) means hardware concurrency.
 int resolve_threads(int requested);
 
-/// Bounded retry for failable tasks (fault-tolerant pipeline runs).
-struct RetryPolicy {
-  /// Total attempts per task (first run + retries); must be >= 1.
-  int max_attempts{3};
-  /// Sleep before retry k is backoff_seconds * 2^(k-1); 0 disables sleeping
-  /// (tests and deterministic chaos sweeps).
-  double backoff_seconds{0};
-};
-
 class ThreadPool {
  public:
   /// Spawns `threads - 1` workers; the thread calling parallel_for always
@@ -74,20 +65,6 @@ class ThreadPool {
   RunStats parallel_for(std::size_t n, const Task& fn) {
     return parallel_for(ShardPlan::make(n, threads_), fn);
   }
-
-  /// A task that may fail transiently: returns true on success. `attempt`
-  /// counts from 0; the task must be deterministic in (index, attempt) for
-  /// the pipeline's reproducibility guarantee to hold.
-  using FailableTask = std::function<bool(std::size_t index, int attempt)>;
-
-  /// As parallel_for, but each failed task is retried inline on its owning
-  /// worker (with exponential backoff per `policy`) up to
-  /// policy.max_attempts total attempts. Indices whose every attempt failed
-  /// are flagged in `*failed` (resized to plan.size(); 1 = lost); the
-  /// returned stats carry the abort/retry counters in `faults`.
-  RunStats parallel_for_failable(const ShardPlan& plan, const FailableTask& fn,
-                                 const RetryPolicy& policy,
-                                 std::vector<std::uint8_t>* failed = nullptr);
 
  private:
   /// One worker's bounded run queue of index ranges.

@@ -18,6 +18,7 @@
 
 #include "analysis/edge_analysis.h"
 #include "analysis/ingest_cache.h"
+#include "analysis/whatif.h"
 #include "distrib/coordinator.h"
 #include "distrib/shard_manifest.h"
 #include "distrib/subprocess.h"
@@ -591,6 +592,34 @@ TEST(ScaleAnalysis, AllWorkersCrashedStillMatchesBaseline) {
   auto normalized = scaled;
   normalized.faults = FaultCounters{};
   expect_results_eq(baseline, normalized);
+}
+
+// The coordinator's reducer honors task aborts exactly like the in-process
+// run: the same groups are lost, and the verdict hash and task counters
+// match (the hash is pinned: 9 of 12 groups analyzed, 3 lost).
+TEST(ScaleAnalysis, TaskAbortsMatchInProcessRun) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  FaultPlan plan;
+  plan.seed = 4242;
+  plan.task_abort_rate = 0.5;
+  plan.task_max_attempts = 2;
+  const auto local = run_edge_analysis(world, dc, {}, {}, {}, RuntimeOptions{2},
+                                       nullptr, plan);
+  EXPECT_EQ(whatif_report(local).verdict_hash, 0xbb7eb58ae8d5aa9bULL);
+  EXPECT_EQ(local.groups_analyzed, 9u);
+  EXPECT_EQ(local.faults.lost_groups, 3u);
+
+  ScaleOptions options;
+  options.workers = 2;
+  options.cache_dir = fresh_dir("coordinator-task-aborts");
+  options.faults = plan;
+  const auto scaled = run_scale_analysis(world, dc, {}, {}, {}, options);
+  EXPECT_EQ(whatif_report(scaled).verdict_hash, whatif_report(local).verdict_hash);
+  EXPECT_EQ(scaled.faults.lost_groups, local.faults.lost_groups);
+  EXPECT_EQ(scaled.faults.task_aborts, local.faults.task_aborts);
+  EXPECT_EQ(scaled.faults.task_retries, local.faults.task_retries);
+  expect_results_eq(local, scaled);
 }
 
 TEST(ScaleAnalysis, LauncherThatPublishesNothingFallsBackCold) {

@@ -23,11 +23,10 @@
 #include "agg/rollup.h"
 #include "analysis/edge_analysis.h"
 #include "analysis/sweep.h"
+#include "analysis/whatif.h"
 #include "distrib/coordinator.h"
 #include "faultsim/fault_injector.h"
 #include "goodput/hdratio.h"
-#include "runtime/shard_plan.h"
-#include "runtime/thread_pool.h"
 #include "sampler/io.h"
 #include "sampler/sampler.h"
 #include "scenario/scenario.h"
@@ -537,59 +536,82 @@ TEST(Classifier, DegenerateInputsAreExcludedNotDivided) {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime layer: bounded retry, partial-shard results.
+// Runtime layer: task aborts, retried inside the reduce pass; a group whose
+// every attempt aborts is lost and folds nothing. The hashes are pinned so
+// which groups are lost cannot drift.
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolFailable, RetriesUntilSuccessAndCounts) {
+FaultCounters task_counters(const FaultCounters& c) {
+  FaultCounters out;
+  out.task_aborts = c.task_aborts;
+  out.task_retries = c.task_retries;
+  out.lost_groups = c.lost_groups;
+  return out;
+}
+
+TEST(TaskAborts, LostGroupsArePinnedAndOnlyAbortCountersReachStats) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  FaultPlan plan;  // the FaultedRunIsIdenticalAcrossThreadCounts plan
+  plan.seed = 4242;
+  plan.truncate_rate = 0.02;
+  plan.corrupt_rate = 0.02;
+  plan.duplicate_rate = 0.02;
+  plan.skew_rate = 0.05;
+  plan.thin_rate = 0.2;
+  plan.pop_outage_rate = 0.1;
+  plan.window_drop_rate = 0.1;
+  plan.task_abort_rate = 0.3;
+  plan.task_max_attempts = 2;
+
   for (const int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    std::vector<std::uint8_t> failed;
-    const RunStats rs = pool.parallel_for_failable(
-        ShardPlan::make(30, pool.threads()),
-        [](std::size_t i, int attempt) {
-          return attempt >= static_cast<int>(i % 3);  // succeed on attempt i%3
-        },
-        RetryPolicy{3, 0}, &failed);
-    // Ten tasks each of 0, 1, and 2 failed attempts.
-    EXPECT_EQ(rs.faults.task_aborts, 30u) << "threads=" << threads;
-    EXPECT_EQ(rs.faults.task_retries, 30u);
-    EXPECT_EQ(rs.faults.lost_groups, 0u);
-    ASSERT_EQ(failed.size(), 30u);
-    for (const auto f : failed) EXPECT_EQ(f, 0);
+    RunStats stats;
+    const auto result = run_edge_analysis(world, dc, {}, {}, {},
+                                          RuntimeOptions{threads}, &stats, plan);
+    EXPECT_EQ(whatif_report(result).verdict_hash, 0x2bc50de67bb29b17ULL)
+        << "threads=" << threads;
+    EXPECT_EQ(result.faults.lost_groups, 2u);
+    EXPECT_EQ(result.faults.task_aborts, 6u);
+    EXPECT_EQ(result.faults.task_retries, 4u);
+    EXPECT_GT(result.faults.truncated_records, 0u);
+    // Sampler and agg counters stay in the result; stats carry the three
+    // task counters and nothing else.
+    expect_counters_eq(stats.faults, task_counters(result.faults));
+    EXPECT_EQ(stats.faults.truncated_records, 0u);
   }
 }
 
-TEST(ThreadPoolFailable, ExhaustedTasksAreReportedLost) {
-  ThreadPool pool(3);
-  std::vector<std::uint8_t> failed;
-  const RunStats rs = pool.parallel_for_failable(
-      ShardPlan::make(10, pool.threads()),
-      [](std::size_t, int) { return false; }, RetryPolicy{2, 0}, &failed);
-  EXPECT_EQ(rs.faults.task_aborts, 20u);   // 2 attempts each
-  EXPECT_EQ(rs.faults.task_retries, 10u);  // 1 retry each
-  EXPECT_EQ(rs.faults.lost_groups, 10u);
-  ASSERT_EQ(failed.size(), 10u);
-  for (const auto f : failed) EXPECT_EQ(f, 1);
+TEST(TaskAborts, EveryAttemptAbortedLosesEveryGroup) {
+  const World world = build_world(small_world());
+  FaultPlan plan;
+  plan.seed = 9;
+  plan.task_abort_rate = 1.0;
+  plan.task_max_attempts = 3;
+  RunStats stats;
+  const auto result = run_edge_analysis(world, small_dataset(), {}, {}, {},
+                                        RuntimeOptions{3}, &stats, plan);
+  ASSERT_EQ(world.groups.size(), 12u);
+  EXPECT_EQ(result.groups_analyzed, 0u);
+  EXPECT_EQ(result.faults.lost_groups, 12u);
+  EXPECT_EQ(result.faults.task_aborts, 36u);   // 3 attempts each
+  EXPECT_EQ(result.faults.task_retries, 24u);  // 2 retries each
+  EXPECT_EQ(whatif_report(result).verdict_hash, 0x30bb1cc505915e75ULL);
+  expect_counters_eq(stats.faults, task_counters(result.faults));
 }
 
-TEST(ThreadPoolFailable, BackoffPathCompletes) {
-  ThreadPool pool(2);
-  const RunStats rs = pool.parallel_for_failable(
-      ShardPlan::make(4, pool.threads()),
-      [](std::size_t, int attempt) { return attempt >= 1; },
-      RetryPolicy{2, 0.001}, nullptr);
-  EXPECT_EQ(rs.faults.task_aborts, 4u);
-  EXPECT_EQ(rs.faults.lost_groups, 0u);
-}
-
-TEST(ThreadPoolFailable, EmptyRunCompletes) {
-  ThreadPool pool(2);
-  std::vector<std::uint8_t> failed{1, 1, 1};
-  const RunStats rs = pool.parallel_for_failable(
-      ShardPlan::make(0, pool.threads()),
-      [](std::size_t, int) -> bool { throw 0; }, RetryPolicy{3, 0}, &failed);
-  EXPECT_EQ(rs.faults.task_aborts, 0u);
-  EXPECT_TRUE(failed.empty());
+TEST(TaskAborts, EmptyWorldCompletesWithZeroCounters) {
+  World empty = build_world(small_world());
+  empty.groups.clear();
+  FaultPlan plan;
+  plan.seed = 4242;
+  plan.task_abort_rate = 0.3;
+  plan.task_max_attempts = 2;
+  RunStats stats;
+  const auto result = run_edge_analysis(empty, small_dataset(), {}, {}, {},
+                                        RuntimeOptions{2}, &stats, plan);
+  EXPECT_EQ(result.groups_analyzed, 0u);
+  EXPECT_FALSE(result.faults.any());
+  EXPECT_FALSE(stats.faults.any());
 }
 
 // ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ TEST(ThreadPoolDeathTest, ThrowingTaskAborts) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_map / shard_map_reduce.
+// parallel_map.
 // ---------------------------------------------------------------------------
 
 TEST(ParallelMap, ResultsIndexedByTask) {

@@ -968,10 +968,10 @@ TEST(ScenarioSweep, ReduceAllMatchesPerReducerRangesWithColdFallback) {
   const World perturbed = apply_scenario(world, seeded_pack(world, 9));
 
   std::vector<std::string> blobs(n);
-  ingest_range_to_blobs(world, dc, {}, ShardRange{0, n}, threads(1),
-                        [&](std::size_t g, std::string&& blob) {
-                          blobs[g] = std::move(blob);
-                        });
+  ingest_groups_to_blobs(world, dc, {}, ShardRange{0, n}.ids(), threads(1),
+                         [&](std::size_t g, std::string&& blob) {
+                           blobs[g] = std::move(blob);
+                         });
   // Reducer 0: good blobs for even groups, truncated ones for odd groups.
   // Reducer 1: every group cold under the perturbed world.
   const EdgeReducer::BlobFn mixed = [&](std::size_t g) {
