@@ -685,6 +685,8 @@ struct EdgeReducer::Impl {
   DatasetGenerator generator;
   EdgePartial total;
   std::uint64_t blob_groups{0};
+  /// Per group, the folded partial (keep_partials()); empty when not kept.
+  std::vector<std::unique_ptr<EdgePartial>> kept;
 
   Impl(const World& world_in, const DatasetConfig& config_in,
        const AnalysisThresholds& thresholds_in,
@@ -718,38 +720,118 @@ void EdgeReducer::reduce_range(const ShardRange& range, const BlobFn& blob,
   reduce_all({RangeJob{this, range, blob, save}}, runtime, stats);
 }
 
+void EdgeReducer::reduce_world(const RuntimeOptions& runtime, RunStats* stats,
+                               const IngestCacheOptions& cache) {
+  // Faulted runs bypass the cache entirely — no read, no write. A faulted
+  // series must never be persisted (it would poison fault-free runs), and
+  // serving a clean artifact to a faulted run would silently disable the
+  // injection under test.
+  const Impl& im = *impl_;
+  const bool use_cache = cache.enabled() && !im.faults.enabled();
+  const std::size_t group_count = im.world.groups.size();
+  std::uint64_t cache_key = 0;
+  std::string artifact_path;
+  IngestArtifact artifact;
+  bool warm = false;
+  if (use_cache) {
+    cache_key = ingest_cache_key(im.world, im.config, im.goodput);
+    artifact_path = ingest_artifact_path(cache.dir, cache_key);
+    const auto t0 = std::chrono::steady_clock::now();
+    warm = read_ingest_artifact(artifact_path, cache_key, group_count, artifact);
+    if (stats) stats->cache_load_seconds += seconds_since(t0);
+  }
+
+  // On a warm run each group deserializes its blob instead of ingesting
+  // (falling back to cold ingest if its blob is structurally invalid); on
+  // a cold cache-enabled run each group additionally serializes its series
+  // into `blobs[g]` (each slot written by exactly one task). Neither
+  // introduces any cross-thread order dependence — warm, cold, and
+  // uncached runs stay byte-identical.
+  BlobFn blob_fn;
+  if (warm) {
+    blob_fn = [&artifact](std::size_t g) {
+      const auto [offset, length] = artifact.blobs[g];
+      return GroupBlobRef{artifact.bytes.data() + offset, length};
+    };
+  }
+  std::vector<std::string> blobs;
+  SaveFn save_fn;
+  if (use_cache && !warm) {
+    blobs.resize(group_count);
+    save_fn = [&blobs](std::size_t g, std::string&& blob) {
+      blobs[g] = std::move(blob);
+    };
+  }
+  const std::uint64_t hits_before = im.blob_groups;
+  reduce_range(ShardRange{0, group_count}, blob_fn, runtime, stats,
+               save_fn ? &save_fn : nullptr);
+  if (use_cache && stats) {
+    const std::uint64_t hits = im.blob_groups - hits_before;
+    stats->cache_hits += hits;
+    stats->cache_misses += static_cast<std::uint64_t>(group_count) - hits;
+  }
+  if (use_cache && !warm) {
+    const auto t0 = std::chrono::steady_clock::now();
+    write_ingest_artifact(artifact_path, cache_key, blobs);
+    if (stats) stats->cache_save_seconds += seconds_since(t0);
+  }
+}
+
+void EdgeReducer::keep_partials() {
+  FBEDGE_EXPECT(!impl_->faults.enabled(), "a faulted reducer's partials are never spliced");
+  impl_->kept.resize(impl_->world.groups.size());
+}
+
 void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
                              const RuntimeOptions& runtime, RunStats* stats) {
   // One slot per (job, group), laid out job by job in ascending group
-  // order: the fold order.
+  // order: the fold order. A spliced slot points at its source's kept
+  // partial and gets no task; every other slot owns one partial.
   constexpr std::size_t kWhole = static_cast<std::size_t>(-1);
   struct Slot {
     std::size_t job;
     std::size_t group;
+    const EdgePartial* spliced{nullptr};
+    std::size_t part{0};        // index into `partials` for an unspliced slot
     std::size_t split{kWhole};  // index into `splits` for a split slot
   };
   std::vector<Slot> slots;
+  std::size_t parts = 0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const RangeJob& job = jobs[j];
     FBEDGE_EXPECT(job.range.end <= job.reducer->impl_->world.groups.size(),
                   "reduce range exceeds the world's group count");
-    for (std::size_t g = job.range.begin; g < job.range.end; ++g) slots.push_back({j, g});
+    FBEDGE_EXPECT(!job.splice || !job.reducer->impl_->faults.enabled(),
+                  "a faulted reducer never splices");
+    auto next_affected = job.affected.begin();
+    for (std::size_t g = job.range.begin; g < job.range.end; ++g) {
+      while (next_affected != job.affected.end() && *next_affected < g) ++next_affected;
+      const bool spliced =
+          job.splice && (next_affected == job.affected.end() || *next_affected != g);
+      if (!spliced) {
+        slots.push_back({.job = j, .group = g, .part = parts++});
+        continue;
+      }
+      const auto& kept = job.splice->impl_->kept;
+      FBEDGE_EXPECT(g < kept.size() && kept[g],
+                    "splice source kept no partial for the group");
+      slots.push_back({j, g, kept[g].get()});
+    }
   }
   if (slots.empty()) return;
 
-  // The split schedule: a known-cold group of a fault-free reducer bigger
-  // than its fair share of the pass's known-cold sessions becomes one task
-  // per chunk of windows. At one thread nothing exceeds the whole.
+  // The cost estimate: a known-cold group of a fault-free reducer expects
+  // its sessions; a blob load, a splice and a faulted reducer's task 0.
+  // The split schedule: a known-cold group bigger than its fair share of
+  // the pass's known-cold sessions becomes one task per chunk of windows.
+  // At one thread nothing exceeds the whole.
   std::vector<double> cold_sessions(slots.size(), 0.0);
   double cold_total = 0;
   for (std::size_t s = 0; s < slots.size(); ++s) {
     const RangeJob& job = jobs[slots[s].job];
     const Impl& im = *job.reducer->impl_;
-    const std::size_t g = slots[s].group;
-    const bool known_cold =
-        !job.blob || std::binary_search(job.cold.begin(), job.cold.end(), g);
-    if (im.faults.enabled() || !known_cold) continue;
-    cold_sessions[s] = im.world.groups[g].sessions_per_window *
+    if (slots[s].spliced || job.blob || im.faults.enabled()) continue;
+    cold_sessions[s] = im.world.groups[slots[s].group].sessions_per_window *
                        im.config.session_scale * im.generator.total_windows();
     cold_total += cold_sessions[s];
   }
@@ -757,10 +839,12 @@ void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
   struct Task {
     std::size_t slot;
     int chunk;
+    double cost;
   };
   std::vector<Task> tasks;
   std::vector<int> split_chunks;
   for (std::size_t s = 0; s < slots.size(); ++s) {
+    if (slots[s].spliced) continue;
     const int windows = jobs[slots[s].job].reducer->impl_->generator.total_windows();
     const int chunks = cold_sessions[s] > fair_share
                            ? (windows + kSplitStrideWindows - 1) / kSplitStrideWindows
@@ -769,32 +853,41 @@ void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
       slots[s].split = split_chunks.size();
       split_chunks.push_back(chunks);
     }
-    for (int c = 0; c < chunks; ++c) tasks.push_back({s, c});
+    for (int c = 0; c < chunks; ++c) tasks.push_back({s, c, cold_sessions[s] / chunks});
   }
+  // Longest expected task first. The sort is stable, so a split group's
+  // chunks stay in ascending order (each chunk's start cursor extends the
+  // one before it) and zero-cost tasks keep their fold order.
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const Task& a, const Task& b) { return a.cost > b.cost; });
   std::vector<SplitIngest> splits(split_chunks.size());
   for (std::size_t i = 0; i < splits.size(); ++i) splits[i].start(split_chunks[i]);
 
-  // Partials, blob flags and aborted-attempt counts are per slot, each
-  // written by exactly one task (a split slot's by its last chunk), so
-  // nothing depends on the order tasks finish in.
-  std::vector<EdgePartial> partials(slots.size());
-  std::vector<std::uint8_t> from_blob(slots.size(), 0);
-  std::vector<int> aborted(slots.size(), 0);
+  // Partials, blob flags and aborted-attempt counts are per unspliced
+  // slot, each written by exactly one task (a split slot's by its last
+  // chunk), so nothing depends on the order tasks finish in.
+  std::vector<EdgePartial> partials(parts);
+  std::vector<std::uint8_t> from_blob(parts, 0);
+  std::vector<int> aborted(parts, 0);
+  // The pool runs one call per task; each call claims the next task in
+  // sorted order, whichever worker runs it.
+  std::atomic<std::size_t> cursor{0};
   parallel_for_scratch<EdgeScratch>(
       tasks.size(), runtime,
-      [&](EdgeScratch& scratch, std::size_t t) {
-        const Slot& slot = slots[tasks[t].slot];
+      [&](EdgeScratch& scratch, std::size_t) {
+        const Task& task = tasks[cursor.fetch_add(1, std::memory_order_relaxed)];
+        const Slot& slot = slots[task.slot];
         const RangeJob& job = jobs[slot.job];
         const Impl& im = *job.reducer->impl_;
         const std::size_t g = slot.group;
         const UserGroupProfile& group = im.world.groups[g];
-        EdgePartial& part = partials[tasks[t].slot];
+        EdgePartial& part = partials[slot.part];
         if (im.faults.runtime_faults()) {
           // Task aborts: pure in (plan, group, attempt), so which groups are
           // lost does not depend on the schedule. An aborted attempt does no
           // work; a slot whose every attempt aborts is lost. Faulted
           // reducers never split, so this is the slot's only task.
-          int& attempt = aborted[tasks[t].slot];
+          int& attempt = aborted[slot.part];
           const std::uint64_t key = group_fault_key(group.key);
           while (attempt < im.faults.task_max_attempts &&
                  task_abort_decision(im.faults, key, attempt)) {
@@ -816,7 +909,7 @@ void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
         if (slot.split != kWhole) {
           // Only the task that finishes the group's last chunk goes on.
           if (splits[slot.split].ingest_chunk(scratch, im.generator, group,
-                                              im.goodput, tasks[t].chunk)) {
+                                              im.goodput, task.chunk)) {
             finish_cold();
           }
           return;
@@ -826,7 +919,7 @@ void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
           ByteReader r(b.data, b.size);
           if (load_group_series(r, scratch.series, &scratch.pool) &&
               r.remaining() == 0) {
-            from_blob[tasks[t].slot] = 1;
+            from_blob[slot.part] = 1;
             analyze_series_into(scratch, scratch.series, group, im.thresholds,
                                 im.comparison, im.classifier_config, part);
             return;
@@ -839,23 +932,31 @@ void EdgeReducer::reduce_all(const std::vector<RangeJob>& jobs,
       },
       stats);
   // The determinism rule: every reducer folds its own partials in
-  // ascending group-id order, always. A lost slot folds only its abort
-  // counters. Those three are the only fault counters `stats` gets; the
-  // sampler and agg counters stay in the result.
-  for (std::size_t s = 0; s < slots.size(); ++s) {
-    Impl& im = *jobs[slots[s].job].reducer->impl_;
-    if (aborted[s] > 0) {
-      const bool lost = aborted[s] == im.faults.task_max_attempts;
+  // ascending group-id order, always. A spliced slot folds its source's
+  // partial, a lost slot only its abort counters. Those three are the only
+  // fault counters `stats` gets; the sampler and agg counters stay in the
+  // result.
+  for (const Slot& slot : slots) {
+    Impl& im = *jobs[slot.job].reducer->impl_;
+    if (slot.spliced) {
+      im.total.merge(*slot.spliced);
+      continue;
+    }
+    const int aborts = aborted[slot.part];
+    if (aborts > 0) {
+      const bool lost = aborts == im.faults.task_max_attempts;
       FaultCounters abort_counts;
-      abort_counts.task_aborts = static_cast<std::uint64_t>(aborted[s]);
-      abort_counts.task_retries = static_cast<std::uint64_t>(aborted[s] - lost);
+      abort_counts.task_aborts = static_cast<std::uint64_t>(aborts);
+      abort_counts.task_retries = static_cast<std::uint64_t>(aborts - lost);
       abort_counts.lost_groups = lost;
       im.total.res.faults.accumulate(abort_counts);
       if (stats) stats->faults.accumulate(abort_counts);
       if (lost) continue;
     }
-    im.total.merge(partials[s]);
-    im.blob_groups += from_blob[s];
+    EdgePartial& part = partials[slot.part];
+    im.total.merge(part);
+    im.blob_groups += from_blob[slot.part];
+    if (!im.kept.empty()) im.kept[slot.group] = std::make_unique<EdgePartial>(std::move(part));
   }
 }
 
@@ -915,66 +1016,15 @@ EdgeAnalysisResult run_edge_analysis(const World& world, const DatasetConfig& co
     return out;
   }
 
-  // Faulted runs bypass the cache entirely — no read, no write. A faulted
-  // series must never be persisted (it would poison fault-free runs), and
-  // serving a clean artifact to a faulted run would silently disable the
-  // injection under test.
-  const bool use_cache = cache.enabled() && !faults.enabled();
-  const std::size_t group_count = world.groups.size();
-  std::uint64_t cache_key = 0;
-  std::string artifact_path;
-  IngestArtifact artifact;
-  bool warm = false;
-  if (use_cache) {
-    cache_key = ingest_cache_key(world, config, goodput);
-    artifact_path = ingest_artifact_path(cache.dir, cache_key);
-    const auto t0 = std::chrono::steady_clock::now();
-    warm = read_ingest_artifact(artifact_path, cache_key, group_count, artifact);
-    if (stats) stats->cache_load_seconds += seconds_since(t0);
-  }
-
   // One EdgeReducer pass over [0, n) for every fault plan: per-worker
   // EdgeScratch arenas persist across every group a worker processes, and
   // partials fold in group-id order — the result does not depend on the
   // thread count. Task aborts, when the plan has them, are drawn inside
   // the pass (EdgeReducer::reduce_all), so a lost group is a slot that
-  // folds nothing.
-  //
-  // Cache plumbing rides the same schedule: on a warm run each group
-  // deserializes its blob instead of ingesting (falling back to cold
-  // ingest if its blob is structurally invalid); on a cold cache-enabled
-  // run each group additionally serializes its series into `blobs[g]`
-  // (each slot written by exactly one task). Neither introduces any
-  // cross-thread order dependence — warm, cold, and uncached runs stay
-  // byte-identical.
+  // folds nothing. Cache plumbing rides the same schedule
+  // (EdgeReducer::reduce_world).
   EdgeReducer reducer(world, config, thresholds, comparison, goodput, faults);
-  EdgeReducer::BlobFn blob_fn;
-  if (warm) {
-    blob_fn = [&artifact](std::size_t g) {
-      const auto [offset, length] = artifact.blobs[g];
-      return GroupBlobRef{artifact.bytes.data() + offset, length};
-    };
-  }
-  std::vector<std::string> blobs;
-  EdgeReducer::SaveFn save_fn;
-  if (use_cache && !warm) {
-    blobs.resize(group_count);
-    save_fn = [&blobs](std::size_t g, std::string&& blob) {
-      blobs[g] = std::move(blob);
-    };
-  }
-  reducer.reduce_range(ShardRange{0, group_count}, blob_fn, runtime, stats,
-                       save_fn ? &save_fn : nullptr);
-  if (use_cache && stats) {
-    const std::uint64_t hits = reducer.blob_groups();
-    stats->cache_hits += hits;
-    stats->cache_misses += static_cast<std::uint64_t>(group_count) - hits;
-  }
-  if (use_cache && !warm) {
-    const auto t0 = std::chrono::steady_clock::now();
-    write_ingest_artifact(artifact_path, cache_key, blobs);
-    if (stats) stats->cache_save_seconds += seconds_since(t0);
-  }
+  reducer.reduce_world(runtime, stats, cache);
   return reducer.finish();
 }
 

@@ -13,7 +13,7 @@
 // or many, any thread count per range — the finished result is
 // byte-identical to a single-process run_edge_analysis over the same
 // world. run_edge_analysis itself is rebuilt on top of this class (one
-// reduce_range over [0, n)), so the two paths cannot drift.
+// reduce_world over [0, n)), so the two paths cannot drift.
 #pragma once
 
 #include <cstddef>
@@ -85,27 +85,51 @@ class EdgeReducer {
                     const RuntimeOptions& runtime, RunStats* stats = nullptr,
                     const SaveFn* save = nullptr);
 
+  /// reduce_range() over every group of the world, through the
+  /// ingest-artifact cache when `cache` is enabled and the reducer is
+  /// fault-free: a warm run analyzes the artifact's blobs, a cold one
+  /// writes the artifact after the pass. The artifact is held only for the
+  /// call. Counts cache hits and misses and the load/save seconds into
+  /// `stats`.
+  void reduce_world(const RuntimeOptions& runtime, RunStats* stats,
+                    const IngestCacheOptions& cache);
+
+  /// Keeps every group partial this reducer folds from now on, so that a
+  /// later reduce_all() job can splice it (RangeJob::splice). A fault-free
+  /// reducer only; the kept partials outlive finish().
+  void keep_partials();
+
   /// One reducer's share of a reduce_all() pass: the arguments of one
-  /// reduce_range() call, plus a scheduling hint.
+  /// reduce_range() call, plus an optional splice source.
   struct RangeJob {
     EdgeReducer* reducer{nullptr};
     ShardRange range;
+    /// A null `blob` means every group of the job cold-ingests. Only such
+    /// known-cold groups carry a cost estimate, which orders the pass and
+    /// may split the group (reduce_all()).
     BlobFn blob;
     const SaveFn* save{nullptr};
-    /// Ascending ids of groups known to cold-ingest (`blob` returns an
-    /// empty ref for them); a null `blob` means every group is. The
-    /// schedule alone reads this, and a split group's `blob` is never
-    /// called. A wrong hint costs time, never bytes: a cold ingest is
-    /// exactly what a valid blob holds.
-    std::vector<std::size_t> cold{};
+    /// A reducer that kept its partials (keep_partials()) over a world whose
+    /// groups outside `affected` are bitwise-equal to this job's. Each such
+    /// group's slot runs no task: the fold merges the source's kept partial
+    /// in its place, which is exactly the partial this job would compute.
+    /// Null: every group of the range runs.
+    const EdgeReducer* splice{nullptr};
+    /// With `splice`, the ascending ids of the groups this job analyzes
+    /// itself.
+    std::vector<std::size_t> affected{};
   };
 
   /// Runs every job's (reducer, group) slots as one pool pass, then folds
   /// each reducer's partials in ascending group order, exactly as
-  /// reduce_range() would. A worker done with its slots steals other
-  /// jobs' slots rather than idling until one job's slowest cold ingest
-  /// ends. Reducers must be distinct; each job obeys reduce_range()'s
-  /// contract.
+  /// reduce_range() would. Reducers must be distinct; each job obeys
+  /// reduce_range()'s contract.
+  ///
+  /// The schedule is longest-expected-task first: each known-cold task is
+  /// estimated by its expected sessions, every other task by 0, and
+  /// workers claim the tasks in stably sorted descending order from one
+  /// shared cursor, so the heaviest cold ingests start first and the
+  /// cheap blob loads fill in behind them.
   ///
   /// A known-cold group of a fault-free reducer whose expected sessions
   /// exceed (the pass's known-cold expected sessions) / threads is split
@@ -117,7 +141,8 @@ class EdgeReducer {
   static void reduce_all(const std::vector<RangeJob>& jobs,
                          const RuntimeOptions& runtime, RunStats* stats = nullptr);
 
-  /// Groups analyzed from a provided blob so far (the cache-hit count).
+  /// Groups analyzed from a provided blob so far (the cache-hit count;
+  /// spliced groups are not analyzed, so they do not count).
   std::uint64_t blob_groups() const;
 
   /// Normalizes and returns the final result. The reducer is spent

@@ -1,26 +1,17 @@
-// Splice-reduce sweep runner: baseline once, then every scenario's
-// affected groups and splices in one pool pass, each scenario folded
-// through its own EdgeReducer in group-id order.
+// Splice-reduce sweep runner: baseline once, keeping every group's
+// partial, then every scenario's affected groups in one pool pass, each
+// scenario folded through its own EdgeReducer in group-id order with the
+// baseline's partials spliced in everywhere else.
 #include "analysis/sweep.h"
 
-#include <chrono>
+#include <algorithm>
 #include <memory>
 #include <utility>
 
 #include "analysis/edge_reduce.h"
-#include "analysis/ingest_cache.h"
 #include "util/expect.h"
 
 namespace fbedge {
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-}  // namespace
 
 SweepOutcome run_scenario_sweep(
     const World& world, const DatasetConfig& config,
@@ -53,62 +44,13 @@ SweepOutcome run_scenario_sweep(
 
   const std::size_t n = world.groups.size();
 
-  // ---- baseline: one ingest, blobs retained for splicing -------------------
-  // With a cache dir this is exactly run_edge_analysis's warm/cold logic;
-  // without one the blobs only live in memory for the sweep's duration.
-  std::uint64_t cache_key = 0;
-  std::string artifact_path;
-  IngestArtifact artifact;
-  bool warm = false;
-  if (cache.enabled()) {
-    cache_key = ingest_cache_key(world, config, goodput);
-    artifact_path = ingest_artifact_path(cache.dir, cache_key);
-    const auto t0 = std::chrono::steady_clock::now();
-    warm = read_ingest_artifact(artifact_path, cache_key, n, artifact);
-    if (stats) stats->cache_load_seconds += seconds_since(t0);
-  }
-  std::vector<std::string> blobs;
-  {
-    EdgeReducer reducer(world, config, thresholds, comparison, goodput);
-    EdgeReducer::BlobFn blob_fn;
-    if (warm) {
-      blob_fn = [&artifact](std::size_t g) {
-        const auto [offset, length] = artifact.blobs[g];
-        return GroupBlobRef{artifact.bytes.data() + offset, length};
-      };
-    }
-    EdgeReducer::SaveFn save_fn;
-    if (!warm) {
-      blobs.resize(n);
-      save_fn = [&blobs](std::size_t g, std::string&& blob) {
-        blobs[g] = std::move(blob);
-      };
-    }
-    reducer.reduce_range(ShardRange{0, n}, blob_fn, runtime, stats,
-                         save_fn ? &save_fn : nullptr);
-    if (cache.enabled() && stats) {
-      const std::uint64_t hits = reducer.blob_groups();
-      stats->cache_hits += hits;
-      stats->cache_misses += static_cast<std::uint64_t>(n) - hits;
-    }
-    if (cache.enabled() && !warm) {
-      const auto t0 = std::chrono::steady_clock::now();
-      write_ingest_artifact(artifact_path, cache_key, blobs);
-      if (stats) stats->cache_save_seconds += seconds_since(t0);
-    }
-    out.baseline = reducer.finish();
-  }
-  // Baseline blob for one group, wherever the baseline came from. A blob
-  // that fails structural validation downstream simply cold-ingests —
-  // for an unaffected group the perturbed profile is bitwise-equal to
-  // baseline, so the fallback is byte-identical too.
-  const auto baseline_blob = [&](std::size_t g) -> GroupBlobRef {
-    if (warm) {
-      const auto [offset, length] = artifact.blobs[g];
-      return GroupBlobRef{artifact.bytes.data() + offset, length};
-    }
-    return GroupBlobRef{blobs[g].data(), blobs[g].size()};
-  };
+  // ---- baseline: one reduce, every group's partial kept for splicing -------
+  // Exactly run_edge_analysis's warm/cold cache logic. The artifact is
+  // freed when the reduce returns, and without a cache dir no blob is kept.
+  EdgeReducer baseline(world, config, thresholds, comparison, goodput);
+  baseline.keep_partials();
+  baseline.reduce_world(runtime, stats, cache);
+  out.baseline = baseline.finish();
 
   // ---- scenarios: every pack, footprint and fleet hook first ---------------
   // Each scenario's perturbed world and fleet blobs must outlive the one
@@ -117,9 +59,7 @@ SweepOutcome run_scenario_sweep(
   struct ScenarioWork {
     World perturbed;
     FaultCounters applied;
-    std::vector<std::size_t> affected_index;
     std::vector<std::string> blobs;
-    bool have_blobs{false};
     std::unique_ptr<EdgeReducer> reducer;
   };
   std::vector<ScenarioWork> work(packs.size());
@@ -134,39 +74,37 @@ SweepOutcome run_scenario_sweep(
     w.perturbed = apply_scenario(world, pack, &w.applied);
     scen.affected = affected_groups(world, pack);
 
+    bool have_blobs = false;
     if (affected_blobs && !scen.affected.empty()) {
-      w.have_blobs = affected_blobs(k, pack, w.perturbed, scen.affected, w.blobs);
-      FBEDGE_EXPECT(!w.have_blobs || w.blobs.size() == scen.affected.size(),
+      have_blobs = affected_blobs(k, pack, w.perturbed, scen.affected, w.blobs);
+      FBEDGE_EXPECT(!have_blobs || w.blobs.size() == scen.affected.size(),
                     "sweep blob provider must return one blob per affected group");
     }
-    w.affected_index.assign(n, static_cast<std::size_t>(-1));
-    for (std::size_t i = 0; i < scen.affected.size(); ++i) {
-      FBEDGE_EXPECT(scen.affected[i] < n, "affected group id out of range");
-      w.affected_index[scen.affected[i]] = i;
+    // Only affected groups run, so the blob function sees only them.
+    // Without fleet blobs it is null: every affected group is known cold,
+    // so the pass may split a heavy one by time.
+    EdgeReducer::BlobFn blob;
+    if (have_blobs) {
+      blob = [&w, &scen](std::size_t g) {
+        const auto at = std::lower_bound(scen.affected.begin(), scen.affected.end(), g);
+        const std::string& b = w.blobs[static_cast<std::size_t>(at - scen.affected.begin())];
+        return GroupBlobRef{b.data(), b.size()};
+      };
     }
-
     w.reducer = std::make_unique<EdgeReducer>(w.perturbed, config, thresholds,
                                               comparison, goodput);
-    jobs.push_back({w.reducer.get(), ShardRange{0, n},
-                    [&w, &baseline_blob](std::size_t g) -> GroupBlobRef {
-                      const std::size_t ai = w.affected_index[g];
-                      if (ai == static_cast<std::size_t>(-1)) return baseline_blob(g);
-                      if (w.have_blobs) {
-                        return GroupBlobRef{w.blobs[ai].data(), w.blobs[ai].size()};
-                      }
-                      return GroupBlobRef{};  // cold-ingest under the perturbed world
-                    },
-                    nullptr,
-                    // Without fleet blobs every affected group is known
-                    // cold, so the pass may split a heavy one by time.
-                    w.have_blobs ? std::vector<std::size_t>{} : scen.affected});
+    jobs.push_back({.reducer = w.reducer.get(),
+                    .range = ShardRange{0, n},
+                    .blob = std::move(blob),
+                    .splice = &baseline,
+                    .affected = scen.affected});
   }
 
-  // ---- one pool pass over every (scenario, group) slot ---------------------
-  // Spliced groups read the baseline blob; groups inside a footprint read
-  // the fleet's blob or cold-ingest. Each reducer folds its own partials in
-  // group-id order, so every scenario is byte-identical to its independent
-  // run.
+  // ---- one pool pass over every scenario's affected groups -----------------
+  // Groups inside a footprint read the fleet's blob or cold-ingest; every
+  // other group runs nothing and folds the baseline's partial. Each reducer
+  // folds in group-id order, so every scenario is byte-identical to its
+  // independent run.
   EdgeReducer::reduce_all(jobs, runtime, stats);
 
   for (std::size_t k = 0; k < packs.size(); ++k) {

@@ -9,15 +9,18 @@
 // affected_groups(world, pack) produce bitwise-identical series under the
 // perturbed world. run_scenario_sweep() exploits that:
 //
-//   1. Ingest the baseline once, through the PR 5 ingest-artifact cache
-//      when a cache dir is configured (warm baseline runs skip ingest
-//      entirely), retaining every group's serialized blob.
-//   2. Per scenario: re-ingest only the affected groups under the
-//      perturbed world; every other group is spliced from the baseline
-//      blob. All scenarios' group slots run as one pool pass
-//      (EdgeReducer::reduce_all), and each scenario's EdgeReducer folds
-//      its own partials in ascending group-id order, so the spliced
-//      result is byte-identical to an
+//   1. Reduce the baseline once, through the ingest-artifact cache when
+//      a cache dir is configured (warm baseline runs skip ingest
+//      entirely), keeping every group's analysis partial. The artifact is
+//      freed when the baseline is done; no series blob is kept.
+//   2. Per scenario: re-ingest and analyze only the affected groups under
+//      the perturbed world. An unaffected group has a bitwise-equal
+//      profile and series, so its partial is the baseline's: the scenario
+//      splices that partial in and runs nothing for the group. Every
+//      scenario's affected groups run as one pool pass
+//      (EdgeReducer::reduce_all, longest expected task first), and each
+//      scenario's EdgeReducer folds its own and the spliced partials in
+//      ascending group-id order, so the result is byte-identical to an
 //      independent run_edge_analysis of the same pack at any --threads —
 //      the sweep-equivalence CI job and the verdict-hash differentials in
 //      tests pin this exactly.

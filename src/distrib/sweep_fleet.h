@@ -2,7 +2,8 @@
 // scenario farmed out to shard workers.
 //
 // run_scenario_sweep (analysis/sweep.h) re-ingests only a scenario's
-// affected groups and splices everything else from the baseline artifact.
+// affected groups and splices the baseline's analysis partials for
+// everything else.
 // That affected ingest is the sweep's remaining cost, and it parallelizes
 // exactly like the full-world ingest the scale coordinator distributes —
 // so run_sweep_analysis() wires a SweepAffectedBlobFn that spawns one

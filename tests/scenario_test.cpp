@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -1002,6 +1003,95 @@ TEST(ScenarioSweep, ReduceAllMatchesPerReducerRangesWithColdFallback) {
   }
 }
 
+// The sweep through the ingest-artifact cache: a cold cache-enabled sweep
+// writes the artifact, a warm one reads it, and a warm one over an artifact
+// with one unaffected group's blob truncated cold-ingests that group alone.
+// All three match independent runs at any thread count, and the pass runs
+// only the affected slots.
+TEST(ScenarioSweep, WarmArtifactSweepMatchesIndependentRuns) {
+  const World world = build_world(small_world());
+  const DatasetConfig dc = small_dataset();
+  const std::size_t n = world.groups.size();
+  std::vector<ScenarioPack> packs;
+  packs.push_back(seeded_pack(world, 9));
+  {
+    ScenarioPack flash_only;
+    flash_only.seed = 13;
+    FlashCrowdDelta flash;
+    flash.country = world.groups.front().key.country.value;
+    flash.multiplier = 6.0;
+    packs.push_back(flash_only);
+    packs.back().flash_crowds.push_back(flash);
+  }
+  packs.push_back(ScenarioPack{});
+
+  std::vector<bool> inside(n, false);
+  std::uint64_t affected_total = 0;
+  for (const auto& pack : packs) {
+    const std::vector<std::size_t> affected = affected_groups(world, pack);
+    affected_total += affected.size();
+    for (const std::size_t g : affected) inside[g] = true;
+  }
+  const auto outside = std::find(inside.begin(), inside.end(), false);
+  ASSERT_NE(outside, inside.end()) << "every group is inside some footprint";
+  const auto unaffected = static_cast<std::size_t>(outside - inside.begin());
+
+  const std::uint64_t base_hash =
+      whatif_report(run_edge_analysis(world, dc, {}, {}, {}, threads(1)))
+          .verdict_hash;
+  std::vector<std::uint64_t> want;
+  for (const auto& pack : packs) {
+    want.push_back(whatif_report(run_edge_analysis(world, dc, {}, {}, {},
+                                                   threads(1), nullptr, {}, {},
+                                                   pack))
+                       .verdict_hash);
+  }
+
+  const IngestCacheOptions cache{::testing::TempDir() + "fbedge_scenario_warm_sweep"};
+  const std::uint64_t key = ingest_cache_key(world, dc, {});
+  const std::string path = ingest_artifact_path(cache.dir, key);
+  const auto sweep = [&](int t, const char* what) {
+    RunStats stats;
+    const SweepOutcome outcome =
+        run_scenario_sweep(world, dc, {}, {}, {}, packs, threads(t), &stats, {}, cache);
+    EXPECT_EQ(whatif_report(outcome.baseline).verdict_hash, base_hash)
+        << what << " at " << t << " threads";
+    for (std::size_t k = 0; k < packs.size(); ++k) {
+      EXPECT_EQ(whatif_report(outcome.scenarios[k].result).verdict_hash, want[k])
+          << what << " pack " << k << " at " << t << " threads";
+    }
+    // One baseline task per group, then only the affected slots.
+    EXPECT_EQ(stats.tasks, n + affected_total) << what << " at " << t << " threads";
+    return stats;
+  };
+
+  for (const int t : {1, 3, 4}) {
+    std::remove(path.c_str());
+    const RunStats cold = sweep(t, "cold");
+    EXPECT_EQ(cold.cache_hits, 0u);
+    EXPECT_EQ(cold.cache_misses, n);
+
+    const RunStats warm = sweep(t, "warm");
+    EXPECT_EQ(warm.cache_hits, n) << t << " threads";
+    EXPECT_EQ(warm.cache_misses, 0u) << t << " threads";
+
+    // Rewrite the artifact, still valid as a file, with one unaffected
+    // group's blob cut in half: that group alone falls back to cold ingest.
+    IngestArtifact artifact;
+    ASSERT_TRUE(read_ingest_artifact(path, key, n, artifact));
+    std::vector<std::string> blobs;
+    for (const auto& [offset, length] : artifact.blobs) {
+      blobs.push_back(artifact.bytes.substr(offset, length));
+    }
+    blobs[unaffected].resize(blobs[unaffected].size() / 2);
+    ASSERT_TRUE(write_ingest_artifact(path, key, blobs));
+    const RunStats corrupt = sweep(t, "corrupt");
+    EXPECT_EQ(corrupt.cache_hits, n - 1) << t << " threads";
+    EXPECT_EQ(corrupt.cache_misses, 1u) << t << " threads";
+  }
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Split cold ingest: a flash-crowded group bigger than its fair share of
 // the pass's known-cold sessions runs as one task per day of windows.
@@ -1058,9 +1148,10 @@ TEST(ScenarioSplit, SplitSweepMatchesIndependentRunsAtAnyThreadCount) {
                                                    nullptr, {}, {}, pack))
                        .verdict_hash);
   }
-  // The baseline reduce and the pass: one task per slot, plus two more
-  // tasks for the split group's three day chunks.
-  const std::uint64_t whole_tasks = n * (1 + packs.size());
+  // The baseline reduce runs one task per group; the pass runs only the
+  // one affected slot (every other slot splices the baseline's partial),
+  // plus two more tasks for the split group's three day chunks.
+  const std::uint64_t whole_tasks = n + 1;
   for (const int t : {1, 2, 3, 4}) {
     RunStats stats;
     const SweepOutcome outcome =
@@ -1073,9 +1164,9 @@ TEST(ScenarioSplit, SplitSweepMatchesIndependentRunsAtAnyThreadCount) {
   }
 }
 
-// With fleet blobs the sweep passes no cold hint, so a split-eligible
-// group is not split; its truncated blob falls back to a whole-group cold
-// ingest with the same verdict.
+// With fleet blobs the sweep passes a blob function, so no group is known
+// cold and a split-eligible group is not split; its truncated blob falls
+// back to a whole-group cold ingest with the same verdict.
 TEST(ScenarioSplit, TruncatedFleetBlobOfASplitEligibleGroupFallsBack) {
   const World world = build_world(split_world());
   const DatasetConfig dc = split_dataset();
@@ -1103,7 +1194,8 @@ TEST(ScenarioSplit, TruncatedFleetBlobOfASplitEligibleGroupFallsBack) {
                                                     threads(t), &stats, {}, {}, truncated);
     EXPECT_EQ(whatif_report(outcome.scenarios[0].result).verdict_hash, want)
         << t << " threads";
-    EXPECT_EQ(stats.tasks, n * 2) << t << " threads";
+    // The baseline's n tasks plus the one affected slot, unsplit.
+    EXPECT_EQ(stats.tasks, n + 1) << t << " threads";
   }
 }
 

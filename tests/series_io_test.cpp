@@ -174,11 +174,19 @@ GroupSeries make_series(std::uint64_t seed) {
     for (int route = 0; route < routes; ++route) {
       const int sessions = static_cast<int>(rng.uniform_int(1, 40));
       for (int s = 0; s < sessions; ++s) {
-        const std::optional<double> hd =
-            rng.bernoulli(0.8) ? std::optional<double>(rng.uniform(0, 1))
-                               : std::nullopt;
-        agg.route(route).add_session(rng.uniform(0.01, 0.3), hd,
-                                     rng.uniform_int(1000, 500000));
+        // Draws in a fixed order: testable, HDratio (testable only),
+        // traffic, MinRTT. An untestable session passes a literal nullopt,
+        // so no optional with an unset payload reaches the accumulators.
+        const bool testable = rng.bernoulli(0.8);
+        const double hd = testable ? rng.uniform(0, 1) : 0.0;
+        const Bytes traffic = rng.uniform_int(1000, 500000);
+        const Duration min_rtt = rng.uniform(0.01, 0.3);
+        RouteWindowAgg& cell = agg.route(route);
+        if (testable) {
+          cell.add_session(min_rtt, hd, traffic);
+        } else {
+          cell.add_session(min_rtt, std::nullopt, traffic);
+        }
       }
     }
   }
