@@ -153,21 +153,17 @@ inline void print_paper_note(const char* note) {
   std::printf("paper: %s\n", note);
 }
 
-/// Standard runtime block every bench appends to its `--json` output.
-/// Cache hits/misses stay 0 unless a cache dir was configured, so
-/// committed BENCH files (always cold, uncached runs) are unaffected.
+/// Standard runtime block every bench and tool appends to its `--json`
+/// output: threads, the SIMD path, and every counter of the RunStats table
+/// (runtime/run_stats.h), each once under its `runtime_` key.
 inline void add_runtime_json(JsonOutput& json, const RunStats& stats) {
   json.add("runtime_threads", stats.threads);
   // 1 = AVX2 kernels, 0 = scalar reference, -1 = unknown. CI's scalar-rot
   // guard asserts this is 1 under FBEDGE_SIMD=avx2 on an AVX2 runner.
   json.add("runtime_simd_avx2", stats.simd_avx2);
-  json.add("runtime_wall_seconds", stats.wall_seconds);
-  json.add("runtime_cpu_seconds", stats.cpu_seconds);
-  json.add("runtime_alloc_count", static_cast<double>(stats.alloc_count));
-  json.add("runtime_rss_peak", static_cast<double>(stats.rss_sampled_peak_bytes));
-  json.add("runtime_steals", static_cast<double>(stats.steals));
-  json.add("runtime_cache_hits", static_cast<double>(stats.cache_hits));
-  json.add("runtime_cache_misses", static_cast<double>(stats.cache_misses));
+  for_each_counter(stats, [&](const CounterRow& row, auto value) {
+    json.add(row.key, static_cast<double>(value));
+  });
 }
 
 }  // namespace fbedge::bench

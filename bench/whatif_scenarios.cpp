@@ -150,19 +150,6 @@ ScenarioPack parse_embedded(const char* text) {
   return std::move(parsed.pack);
 }
 
-void print_scenario_block(const WhatifReport& baseline,
-                          const WhatifReport& report, const ScenarioPack& pack,
-                          const FaultCounters& faults) {
-  std::printf("=== scenario %s ===\n", pack.name.c_str());
-  print_whatif_report(report);
-  std::printf("applied: drained=%llu depref=%llu flash=%llu cable_cut=%llu\n",
-              static_cast<unsigned long long>(faults.scenario_drained_groups),
-              static_cast<unsigned long long>(faults.scenario_depref_groups),
-              static_cast<unsigned long long>(faults.scenario_flash_groups),
-              static_cast<unsigned long long>(faults.scenario_cable_cut_groups));
-  print_whatif_deltas(baseline, report);
-}
-
 void add_delta_json(bench::JsonOutput& json, const WhatifReport& baseline,
                     const WhatifReport& report, const std::string& name) {
   for (std::size_t i = 0; i < report.metrics.size(); ++i) {

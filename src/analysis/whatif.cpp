@@ -139,4 +139,19 @@ void print_whatif_deltas(const WhatifReport& baseline,
   }
 }
 
+void print_scenario_block(const WhatifReport& baseline,
+                          const WhatifReport& report, const ScenarioPack& pack,
+                          const FaultCounters& faults) {
+  std::printf("=== scenario %s ===\n", pack.name.c_str());
+  print_whatif_report(report);
+  if (pack.empty()) return;
+  std::printf(
+      "applied: drained=%llu depref=%llu flash=%llu cable_cut=%llu\n",
+      static_cast<unsigned long long>(faults.scenario_drained_groups),
+      static_cast<unsigned long long>(faults.scenario_depref_groups),
+      static_cast<unsigned long long>(faults.scenario_flash_groups),
+      static_cast<unsigned long long>(faults.scenario_cable_cut_groups));
+  print_whatif_deltas(baseline, report);
+}
+
 }  // namespace fbedge

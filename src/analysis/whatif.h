@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "analysis/edge_analysis.h"
+#include "scenario/scenario.h"
 
 namespace fbedge {
 
@@ -39,5 +40,13 @@ void print_whatif_report(const WhatifReport& report, std::FILE* out = stdout);
 void print_whatif_deltas(const WhatifReport& baseline,
                          const WhatifReport& scenario,
                          std::FILE* out = stdout);
+
+/// Prints one scenario's block to stdout: its "=== scenario NAME ===" header,
+/// its report, and, unless the pack is empty, the pack's applied counters and
+/// the deltas against the baseline. The applied counters are pure
+/// functions of (pack, world), so the block is thread-count invariant.
+void print_scenario_block(const WhatifReport& baseline,
+                          const WhatifReport& report, const ScenarioPack& pack,
+                          const FaultCounters& faults);
 
 }  // namespace fbedge

@@ -1,6 +1,7 @@
 # Runs the tools on rejected input and requires each exact exit status:
 # 2 for a bad numeric flag (util/cli.h), 1 for fbedge_analyze input that
-# holds no session. Invoked by ctest (tests/CMakeLists.txt) as
+# holds no session. Then pins the runtime_ keys of two --json outputs.
+# Invoked by ctest (tests/CMakeLists.txt) as
 #   cmake -DMONITOR=... -DANALYZE=... -DBENCH=... -DWHATIF=... -DGEN=...
 #         -DSCALE=... -DFIDELITY=... -DINGRESS=... -DWORK_DIR=...
 #         -P cli_test.cmake
@@ -77,3 +78,29 @@ file(WRITE ${WORK_DIR}/cli_test_empty.txt "")
 file(WRITE ${WORK_DIR}/cli_test_garbage.txt "not a sample\n1 2 3\n\n%%%\n")
 expect_exit(1 ${ANALYZE} ${WORK_DIR}/cli_test_empty.txt)
 expect_exit(1 ${ANALYZE} ${WORK_DIR}/cli_test_garbage.txt)
+
+# --json carries every RunStats counter once under its runtime_ key
+# (runtime/run_stats.h): each key the CI jobs read, and the fault counters.
+file(REMOVE_RECURSE ${WORK_DIR}/cli_test_json_cache)
+foreach(run
+    "scale;${SCALE};1;--days;1;--workers;2;--cache-dir;${WORK_DIR}/cli_test_json_cache"
+    "monitor;${MONITOR};1;--days;1")
+  list(POP_FRONT run name)
+  set(json_path ${WORK_DIR}/cli_test_${name}.json)
+  file(REMOVE ${json_path})
+  expect_exit(0 ${run} --json ${json_path})
+  file(READ ${json_path} json)
+  foreach(key
+      runtime_simd_avx2 runtime_wall_seconds runtime_alloc_count
+      runtime_rss_peak runtime_steals runtime_cache_hits runtime_cache_misses
+      runtime_workers_spawned runtime_worker_failures runtime_worker_retries
+      runtime_degraded_shards runtime_worker_rss_peak
+      runtime_stream_open_windows_peak runtime_stream_watermark_advances
+      runtime_lost_groups)
+    string(REGEX MATCHALL "\"${key}\":" hits "${json}")
+    list(LENGTH hits count)
+    if(NOT count EQUAL 1)
+      message(SEND_ERROR "${name} --json: key ${key} appears ${count} times")
+    endif()
+  endforeach()
+endforeach()

@@ -17,6 +17,8 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "agg/classifier.h"
@@ -92,30 +94,14 @@ SessionSample make_valid_sample() {
 }
 
 void expect_counters_eq(const FaultCounters& a, const FaultCounters& b) {
-  EXPECT_EQ(a.truncated_records, b.truncated_records);
-  EXPECT_EQ(a.corrupt_records, b.corrupt_records);
-  EXPECT_EQ(a.rejected_records, b.rejected_records);
-  EXPECT_EQ(a.duplicated_samples, b.duplicated_samples);
-  EXPECT_EQ(a.skewed_samples, b.skewed_samples);
-  EXPECT_EQ(a.thinned_groups, b.thinned_groups);
-  EXPECT_EQ(a.thinned_sessions, b.thinned_sessions);
-  EXPECT_EQ(a.pop_outage_groups, b.pop_outage_groups);
-  EXPECT_EQ(a.dropped_windows, b.dropped_windows);
-  EXPECT_EQ(a.stream_late_batches, b.stream_late_batches);
-  EXPECT_EQ(a.stream_duplicate_batches, b.stream_duplicate_batches);
-  EXPECT_EQ(a.stream_dropped_rows, b.stream_dropped_rows);
-  EXPECT_EQ(a.task_aborts, b.task_aborts);
-  EXPECT_EQ(a.task_retries, b.task_retries);
-  EXPECT_EQ(a.lost_groups, b.lost_groups);
-  EXPECT_EQ(a.worker_crashes, b.worker_crashes);
-  EXPECT_EQ(a.worker_retries, b.worker_retries);
-  EXPECT_EQ(a.degraded_shards, b.degraded_shards);
-  EXPECT_EQ(a.scenario_drained_groups, b.scenario_drained_groups);
-  EXPECT_EQ(a.scenario_depref_groups, b.scenario_depref_groups);
-  EXPECT_EQ(a.scenario_flash_groups, b.scenario_flash_groups);
-  EXPECT_EQ(a.scenario_cable_cut_groups, b.scenario_cable_cut_groups);
-  EXPECT_EQ(a.scenario_groups_reused, b.scenario_groups_reused);
-  EXPECT_EQ(a.scenario_groups_recomputed, b.scenario_groups_recomputed);
+  const auto rows = [](const FaultCounters& c) {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for_each_counter(c, [&](const CounterRow& row, std::uint64_t value) {
+      out.emplace_back(row.field, value);
+    });
+    return out;
+  };
+  EXPECT_EQ(rows(a), rows(b));
 }
 
 void expect_results_eq(const EdgeAnalysisResult& a, const EdgeAnalysisResult& b) {

@@ -5,8 +5,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <numeric>
+#include <set>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/edge_analysis.h"
@@ -178,6 +182,92 @@ TEST(ParallelMap, StatsAccumulateAcrossCalls) {
   parallel_map(10, RuntimeOptions{2}, [](std::size_t i) { return i; }, &stats);
   parallel_map(15, RuntimeOptions{2}, [](std::size_t i) { return i; }, &stats);
   EXPECT_EQ(stats.tasks, 25u);
+}
+
+// ---------------------------------------------------------------------------
+// Counter table (runtime/run_stats.h).
+// ---------------------------------------------------------------------------
+
+// A FaultCounters field declared outside the table fails this.
+static_assert(sizeof(FaultCounters) == kFaultCounterRows * sizeof(std::uint64_t));
+
+/// Sets the visitor's n-th counter (0-based) of `stats` to `value`.
+template <class Stats>
+void set_counter(Stats& stats, std::size_t n, std::uint64_t value) {
+  std::size_t i = 0;
+  for_each_counter(stats, [&](const CounterRow&, auto& field) {
+    if (i++ == n) field = static_cast<std::remove_reference_t<decltype(field)>>(value);
+  });
+}
+
+TEST(RunStats, CounterTableDrivesAccumulateAnyAndJson) {
+  struct Seen {
+    std::string field;
+    std::string key;
+    CounterFold fold;
+    double value;
+  };
+  const auto rows = [](const RunStats& stats) {
+    std::vector<Seen> out;
+    for_each_counter(stats, [&](const CounterRow& row, auto value) {
+      out.push_back({row.field, row.key, row.fold, static_cast<double>(value)});
+    });
+    return out;
+  };
+
+  RunStats stats;
+  const std::size_t n = rows(stats).size();
+  for (std::size_t i = 0; i < n; ++i) set_counter(stats, i, i + 1);
+  const std::vector<Seen> set = rows(stats);
+  ASSERT_EQ(set.size(), n);
+  // Distinct values read back: no two rows name the same field.
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(set[i].value, static_cast<double>(i + 1));
+
+  RunStats folded = stats;
+  folded.accumulate(stats);
+  const std::vector<Seen> after = rows(folded);
+  std::set<std::string> max_rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (set[i].fold == CounterFold::kMax) {
+      max_rows.insert(set[i].field);
+      EXPECT_EQ(after[i].value, set[i].value) << set[i].field;
+    } else {
+      EXPECT_EQ(after[i].value, 2 * set[i].value) << set[i].field;
+    }
+  }
+  EXPECT_EQ(max_rows, (std::set<std::string>{"rss_sampled_peak_bytes",
+                                             "stream_open_windows_peak",
+                                             "worker_rss_peak_bytes"}));
+
+  EXPECT_FALSE(FaultCounters{}.any());
+  for (std::size_t i = 0; i < kFaultCounterRows; ++i) {
+    FaultCounters faults;
+    set_counter(faults, i, 1);
+    EXPECT_TRUE(faults.any()) << "fault row " << i;
+  }
+
+  // Every counter reaches --json once, under runtime_, beside the two
+  // hand-written keys bench::add_runtime_json adds.
+  std::set<std::string> keys{"runtime_threads", "runtime_simd_avx2"};
+  for (const Seen& row : set) {
+    EXPECT_EQ(row.key.rfind("runtime_", 0), 0u) << row.key;
+    EXPECT_TRUE(keys.insert(row.key).second) << "duplicate key " << row.key;
+  }
+  EXPECT_EQ(keys.size(), n + 2);
+
+  // stderr: CI parses "LABEL: threads=N tasks=N" and greps
+  // "cache: hits=N misses=N".
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  stats.print("table", out);
+  std::rewind(out);
+  std::string text;
+  for (int c; (c = std::fgetc(out)) != EOF;) text.push_back(static_cast<char>(c));
+  std::fclose(out);
+  EXPECT_NE(text.find("[runtime] table: threads=0 tasks=1 steals=2 "), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("cache: hits=11 misses=12 "), std::string::npos) << text;
+  EXPECT_NE(text.find(" lost_groups="), std::string::npos) << text;
 }
 
 TEST(EntityStream, MatchesDirectSeedDerivation) {

@@ -198,10 +198,6 @@ int main(int argc, char** argv) {
   json.add("runtime_sessions_per_second",
            stats.wall_seconds > 0 ? static_cast<double>(t.rows) / stats.wall_seconds
                                   : 0.0);
-  json.add("runtime_stream_open_windows_peak",
-           static_cast<double>(stats.stream_open_windows_peak));
-  json.add("runtime_stream_watermark_advances",
-           static_cast<double>(stats.stream_watermark_advances));
   bench::add_runtime_json(json, stats);
   if (!json.write()) return 1;
 

@@ -345,20 +345,6 @@ ScaleRun run_once(const ScaleCli& cli, const World& world,
   return run;
 }
 
-void add_scale_json(bench::JsonOutput& json, const ScaleRun& run) {
-  bench::add_runtime_json(json, run.stats);
-  json.add("runtime_workers_spawned",
-           static_cast<double>(run.stats.workers_spawned));
-  json.add("runtime_worker_failures",
-           static_cast<double>(run.stats.worker_failures));
-  json.add("runtime_worker_retries",
-           static_cast<double>(run.stats.faults.worker_retries));
-  json.add("runtime_degraded_shards",
-           static_cast<double>(run.stats.faults.degraded_shards));
-  json.add("runtime_worker_rss_peak",
-           static_cast<double>(run.stats.worker_rss_peak_bytes));
-}
-
 int run_sweep(const ScaleCli& cli, const std::string& self) {
   WorldConfig wc;
   DatasetConfig dataset;
@@ -467,6 +453,6 @@ int main(int argc, char** argv) {
                ? static_cast<double>(run.result.sessions_analyzed) /
                      run.wall_seconds
                : 0);
-  add_scale_json(json, run);
+  bench::add_runtime_json(json, run.stats);
   return json.write() ? 0 : 1;
 }

@@ -99,24 +99,6 @@ ScenarioPack load_pack(const std::string& path) {
   return std::move(parsed.pack);
 }
 
-void print_scenario_block(const WhatifReport& baseline,
-                          const WhatifReport& report, const ScenarioPack& pack,
-                          const FaultCounters& faults) {
-  std::printf("=== scenario %s ===\n", pack.name.c_str());
-  print_whatif_report(report);
-  if (!pack.empty()) {
-    // Scenario counters are pure functions of (pack, world), so they are
-    // safe on the thread-count-invariant stdout.
-    std::printf(
-        "applied: drained=%llu depref=%llu flash=%llu cable_cut=%llu\n",
-        static_cast<unsigned long long>(faults.scenario_drained_groups),
-        static_cast<unsigned long long>(faults.scenario_depref_groups),
-        static_cast<unsigned long long>(faults.scenario_flash_groups),
-        static_cast<unsigned long long>(faults.scenario_cable_cut_groups));
-    print_whatif_deltas(baseline, report);
-  }
-}
-
 void add_json_metrics(bench::JsonOutput& json, const std::string& prefix,
                       const WhatifReport& report) {
   for (const auto& [name, value] : report.metrics) {
